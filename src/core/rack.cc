@@ -97,11 +97,11 @@ Rack::assemble()
     const sim::Tick mean_wire_ticks = sim::secToTicks(
         mean_bytes * 8.0 / (hw::specs::lineRateGbps * 1e9));
     _tor->setLoadProbe([this, mean_wire_ticks](unsigned m) {
-        const Testbed &bed = *_members[m];
+        Testbed &bed = *_members[m];
         const std::uint64_t held =
-            bed._upLink->inFlight() + bed.pipeline().inFlight();
+            bed.upLink().inFlight() + bed.pipeline().inFlight();
         std::uint64_t load =
-            bed._upLink->backlog() + held * mean_wire_ticks;
+            bed.upLink().backlog() + held * mean_wire_ticks;
         // A waking member's remaining boot time is outstanding work
         // too: without pricing it, the member advertises an empty
         // queue the moment it rejoins and a queue-aware policy herds
@@ -122,11 +122,11 @@ Rack::assemble()
         const sim::Tick t = _sim->now();
         for (unsigned i = 0; i < n; ++i) {
             const unsigned m = members ? members[i] : i;
-            const Testbed &bed = *_members[m];
+            Testbed &bed = *_members[m];
             const std::uint64_t held =
-                bed._upLink->inFlight() + bed.pipeline().inFlight();
+                bed.upLink().inFlight() + bed.pipeline().inFlight();
             std::uint64_t load =
-                bed._upLink->backlog() + held * mean_wire_ticks;
+                bed.upLink().backlog() + held * mean_wire_ticks;
             const sim::Tick wake_done = _memberWakeDone[m];
             if (wake_done > t)
                 load += wake_done - t;
@@ -157,7 +157,7 @@ Rack::assemble()
         }
         const unsigned last = config.chain.stages.back().member;
         _members[_chainIngress]->installRackChain(
-            std::move(rt), *_members[last]->_downLink);
+            std::move(rt), _members[last]->downLink());
     }
 
     // The single aggregate client: every emitted packet takes one
@@ -259,19 +259,17 @@ Rack::wakeMember(unsigned m)
 bool
 Rack::memberQuiescent(unsigned m) const
 {
-    const Testbed &bed = *_members.at(m);
-    return bed._upLink->inFlight() == 0 &&
-           bed._pipeline->inFlight() == 0 &&
-           bed._downLink->inFlight() == 0;
+    Testbed &bed = *_members.at(m);
+    return bed.upLink().inFlight() == 0 &&
+           bed.pipeline().inFlight() == 0 &&
+           bed.downLink().inFlight() == 0;
 }
 
 void
 Rack::beginTrace(const std::vector<double> &rates_gbps, sim::Tick bin)
 {
-    for (auto &m : _members) {
-        m->beginWindow();
-        m->_closedLoopActive = false;
-    }
+    for (auto &m : _members)
+        m->openWindow();
     _tor->resetStats();
     _gen->startSchedule(rates_gbps, bin);
 }
@@ -285,46 +283,33 @@ Rack::stopTrace()
 void
 Rack::beginBin()
 {
-    for (auto &m : _members) {
-        // Stats only: no epoch advance, no datapath reset — requests
-        // straddling the bin boundary stay in flight and record in
-        // the bin they complete in.
-        m->_latency.reset();
-        m->_completed = 0;
-        m->_generatedInWindow = 0;
-        m->_bytesServed = 0.0;
-        m->_goodputBytes = 0.0;
-        m->_wireBytes = 0.0;
-        m->_recording = true;
-    }
-    _binMeters.clear();
-    _binMeters.reserve(_members.size());
-    for (auto &m : _members) {
-        _binMeters.emplace_back(*m->_server, *m->_power);
-        _binMeters.back().begin();
-    }
+    // Arm without reopening: no epoch advance, no datapath reset —
+    // requests straddling the bin boundary stay in flight and record
+    // in the bin they complete in.
+    for (auto &m : _members)
+        m->armWindow();
 }
 
 RackBinStats
 Rack::endBin(sim::Tick bin_ticks)
 {
-    if (_binMeters.size() != _members.size())
-        sim::fatal("Rack::endBin without a matching beginBin");
     RackBinStats bs;
     bs.memberEnergy.reserve(_members.size());
     bs.memberCompleted.reserve(_members.size());
-    const double secs = sim::ticksToSec(bin_ticks);
+    // Sum the bytes, then divide once: summing per-member rates
+    // rounds differently, and this rate feeds the autoscaler.
     double bytes_served = 0.0;
-    for (std::size_t i = 0; i < _members.size(); ++i) {
-        Testbed &m = *_members[i];
-        bs.completed += m._completed;
-        bs.generated += m._generatedInWindow;
-        bytes_served += m._bytesServed;
-        bs.latency.merge(m._latency);
-        bs.memberCompleted.push_back(m._completed);
-        bs.memberEnergy.push_back(_binMeters[i].end(m._wireBytes / 2.0));
+    for (auto &m : _members) {
+        bs.memberEnergy.push_back(m->closeWindow());
+        const WindowCounters &w = m->windowCounters();
+        bs.completed += w.completed;
+        bs.generated += w.generated;
+        bytes_served += w.bytesServed;
+        bs.latency.merge(w.latency);
+        bs.memberCompleted.push_back(w.completed);
     }
-    bs.achievedGbps = bytes_served * 8.0 / secs / 1e9;
+    bs.achievedGbps =
+        bytes_served * 8.0 / sim::ticksToSec(bin_ticks) / 1e9;
     return bs;
 }
 
@@ -353,44 +338,29 @@ RackMeasurement
 Rack::measure(double aggregate_gbps, sim::Tick warmup,
               sim::Tick window)
 {
-    // Mirror Testbed::measure step-for-step so a 1-server
-    // PassThrough rack replays the identical event sequence.
-    for (auto &m : _members) {
-        m->beginWindow();
-        m->_closedLoopActive = false;
-    }
+    // Testbed::measure's window steps, walked on every member, so a
+    // 1-server PassThrough rack replays the identical event sequence.
+    for (auto &m : _members)
+        m->openWindow();
     _tor->resetStats();
 
-    const sim::Tick start = _sim->now();
-    const sim::Tick window_start = start + warmup;
+    const sim::Tick window_start = _sim->now() + warmup;
     const sim::Tick window_end = window_start + window;
-
     _gen->startAtRate(aggregate_gbps, window_end);
     _sim->runUntil(window_start);
-    for (auto &m : _members) {
-        m->resetWindowObservers();
-        m->_recording = true;
-    }
-    std::vector<power::EnergyMeter> meters;
-    meters.reserve(_members.size());
-    for (auto &m : _members) {
-        meters.emplace_back(*m->_server, *m->_power);
-        meters.back().begin();
-    }
-    _sim->runUntil(window_end);
     for (auto &m : _members)
-        m->_recording = false;
+        m->armWindow();
+    _sim->runUntil(window_end);
     _gen->stop();
 
     RackMeasurement rm;
     rm.perServer.reserve(_members.size());
     const double per_server_offered =
         aggregate_gbps / static_cast<double>(_members.size());
-    for (std::size_t i = 0; i < _members.size(); ++i) {
-        Testbed &m = *_members[i];
-        Measurement mi = m.collect(warmup, window, per_server_offered);
-        mi.energy = meters[i].end(m._wireBytes / 2.0);
-        rm.perServer.push_back(std::move(mi));
+    for (auto &m : _members) {
+        const power::EnergyReading energy = m->closeWindow();
+        rm.perServer.push_back(
+            m->collect(per_server_offered, window, energy));
     }
     rm.dispatched = _tor->dispatched();
     rm.imbalance = _tor->imbalance();

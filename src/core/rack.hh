@@ -134,8 +134,9 @@ class Rack
 
     /**
      * Open-loop rack measurement: offer @p aggregate_gbps across the
-     * whole rack for @p window after @p warmup. Mirrors
-     * Testbed::measure member-by-member.
+     * whole rack for @p window after @p warmup. Every member walks
+     * the same window steps as Testbed::measure (open, arm after the
+     * warm-up, close), in lockstep.
      */
     RackMeasurement measure(double aggregate_gbps, sim::Tick warmup,
                             sim::Tick window);
@@ -148,13 +149,14 @@ class Rack
 
     // ------------------------------------------------------------------
     // Fleet day-driving API. The fleet feeds the rack a whole rate
-    // schedule, then walks it bin by bin: beginBin()/endBin() reset and
-    // read *stats only* — never the pipeline epoch or the datapath —
+    // schedule, then walks it bin by bin: beginTrace() opens every
+    // member's window once, and each bin arms and closes it again
+    // without reopening — never the pipeline epoch or the datapath —
     // so requests straddling a bin boundary complete normally and are
     // recorded in the bin they finish in.
     // ------------------------------------------------------------------
 
-    /** Start a day: fresh windows on every member, then the aggregate
+    /** Start a day: open a window on every member, then the aggregate
      *  client replays @p rates_gbps at @p bin ticks per bin. */
     void beginTrace(const std::vector<double> &rates_gbps,
                     sim::Tick bin);
@@ -162,12 +164,14 @@ class Rack
     /** Stop the aggregate client (end of day). */
     void stopTrace();
 
-    /** Open a stats bin: zero the member window counters and snap the
-     *  energy meters. Call at each bin boundary after runUntil. */
+    /** Open a stats bin: arm every member's window (zeroed counters,
+     *  running energy meter). Call at each bin boundary after
+     *  runUntil. */
     void beginBin();
 
     /** Close the bin opened by beginBin(): merged latency/completions
-     *  plus per-member metered energy over @p bin_ticks. */
+     *  plus per-member metered energy over @p bin_ticks, read from
+     *  the members' window counters. Fatal without a beginBin(). */
     RackBinStats endBin(sim::Tick bin_ticks);
 
     // ------------------------------------------------------------------
@@ -242,8 +246,6 @@ class Rack
     /** Tick each member's in-progress wake completes (0 = not
      *  waking; inert once now passes it). */
     std::vector<sim::Tick> _memberWakeDone;
-    /** Per-member energy meters of the open stats bin. */
-    std::vector<power::EnergyMeter> _binMeters;
     /** Spanning-chain mode: config.chain names members != 0. */
     bool _chainMode = false;
     /** All traffic enters at this member's uplink in chain mode. */

@@ -249,14 +249,14 @@ Testbed::assemble()
         const sim::Tick rtt =
             _sim->now() - pkt.createdAt +
             sim::nsToTicks(pkt.extraNs);
-        if (_recording) {
+        if (_window.recording) {
             if (_config.goodFilter && !_config.goodFilter(pkt)) {
                 // A hostile-flood completion: served, but not part
                 // of the legitimate-traffic SLO.
-                ++_floodCompleted;
+                ++_window.floodCompleted;
             } else {
-                _latency.record(rtt);
-                ++_completed;
+                _window.latency.record(rtt);
+                ++_window.completed;
             }
         }
         if (_closedLoopActive) {
@@ -293,24 +293,6 @@ Testbed::accelEngine()
 }
 
 void
-Testbed::resetWindowObservers()
-{
-    if (_tracer) {
-        // Forget warmup-period timelines: kept traces describe the
-        // measured window, like the latency histogram.
-        _tracer->reset();
-    }
-    // Same boundary for the engine observers, so BatchingSnapshot
-    // and RingSnapshot count the window's traffic only — not the
-    // warmup's (there is no drain between warmup and window; a drain
-    // here would perturb the schedule).
-    for (hw::ExecutionPlatform *engine : _engines) {
-        engine->resetRingStats();
-        engine->discipline().resetBatchingStats();
-    }
-}
-
-void
 Testbed::installRackChain(std::vector<ChainStageRuntime> chain,
                           net::Link &egress_down)
 {
@@ -342,8 +324,16 @@ Testbed::enableTracing(std::size_t keepSlowest)
 }
 
 void
-Testbed::resetDatapath()
+Testbed::openWindow()
 {
+    _pipeline->setEpoch(_sim->now());
+    _pipeline->resetStats();
+    if (_tracer)
+        _tracer->reset();
+    _window.recording = false;
+    _meter.reset();
+    // Drain queues and clear link/PCIe backlog left by the previous
+    // window.
     for (hw::ExecutionPlatform *cpu : _cpus)
         cpu->drainAndReset();
     for (hw::ExecutionPlatform *engine : _engines)
@@ -354,21 +344,40 @@ Testbed::resetDatapath()
 }
 
 void
-Testbed::beginWindow()
+Testbed::armWindow()
 {
-    _pipeline->setEpoch(_sim->now());
-    _pipeline->resetStats();
-    if (_tracer)
+    _window.latency.reset();
+    _window.completed = _window.floodCompleted = _window.generated = 0;
+    _window.bytesServed = _window.goodputBytes = _window.wireBytes = 0.0;
+    if (_tracer) {
+        // Forget warmup-period timelines: kept traces describe the
+        // measured window, like the latency histogram.
         _tracer->reset();
-    _recording = false;
-    _latency.reset();
-    _completed = 0;
-    _floodCompleted = 0;
-    _generatedInWindow = 0;
-    _bytesServed = 0.0;
-    _goodputBytes = 0.0;
-    _wireBytes = 0.0;
-    resetDatapath();
+    }
+    // Same boundary for the engine observers, so BatchingSnapshot
+    // and RingSnapshot count the window's traffic only — not the
+    // warmup's (there is no drain between warmup and window; a drain
+    // here would perturb the schedule).
+    for (hw::ExecutionPlatform *engine : _engines) {
+        engine->resetRingStats();
+        engine->discipline().resetBatchingStats();
+    }
+    _window.recording = true;
+    _meter.emplace(*_server, *_power);
+    _meter->begin();
+}
+
+power::EnergyReading
+Testbed::closeWindow()
+{
+    if (!_meter)
+        sim::fatal("Testbed: closing a measurement window that was "
+                   "never armed");
+    _window.recording = false;
+    const power::EnergyReading energy =
+        _meter->end(_window.wireBytes / 2.0);
+    _meter.reset();
+    return energy;
 }
 
 void
@@ -382,19 +391,19 @@ void
 Testbed::onServed(const net::Packet &pkt,
                   const workloads::RequestPlan &plan)
 {
-    if (!_recording)
+    if (!_window.recording)
         return;
     // Flood traffic still burns wire bytes (the energy model's
     // per-byte NIC cost is real), but contributes nothing to the
     // legitimate-traffic goodput the SLO is judged on.
-    _wireBytes += static_cast<double>(pkt.sizeBytes) +
-                  plan.responseBytes;
-    ++_generatedInWindow;
+    _window.wireBytes += static_cast<double>(pkt.sizeBytes) +
+                         plan.responseBytes;
+    ++_window.generated;
     if (_config.goodFilter && !_config.goodFilter(pkt))
         return;
-    _bytesServed += pkt.sizeBytes;
-    _goodputBytes += std::max<double>(pkt.sizeBytes,
-                                      plan.responseBytes);
+    _window.bytesServed += pkt.sizeBytes;
+    _window.goodputBytes += std::max<double>(pkt.sizeBytes,
+                                             plan.responseBytes);
     if (_servedSeries)
         _servedSeries->add(_sim->now(), pkt.sizeBytes);
 }
@@ -402,9 +411,9 @@ Testbed::onServed(const net::Packet &pkt,
 void
 Testbed::onTerminal(sim::Tick latency)
 {
-    if (_recording) {
-        _latency.record(latency);
-        ++_completed;
+    if (_window.recording) {
+        _window.latency.record(latency);
+        ++_window.completed;
     }
     if (_closedLoopActive) {
         --_inFlight;
@@ -427,20 +436,20 @@ Testbed::issueClosedLoopJob()
 }
 
 Measurement
-Testbed::collect(sim::Tick warmup, sim::Tick window,
-                 double offered_gbps)
+Testbed::collect(double offered_gbps, sim::Tick window,
+                 const power::EnergyReading &energy)
 {
-    (void)warmup;
     Measurement m;
     m.offeredGbps = offered_gbps;
-    m.latency = _latency;
-    m.completed = _completed;
-    m.floodCompleted = _floodCompleted;
-    m.generated = _generatedInWindow;
+    m.latency = _window.latency;
+    m.completed = _window.completed;
+    m.floodCompleted = _window.floodCompleted;
+    m.generated = _window.generated;
     const double secs = sim::ticksToSec(window);
-    m.achievedGbps = _bytesServed * 8.0 / secs / 1e9;
-    m.goodputGbps = _goodputBytes * 8.0 / secs / 1e9;
-    m.achievedRps = static_cast<double>(_completed) / secs;
+    m.achievedGbps = _window.bytesServed * 8.0 / secs / 1e9;
+    m.goodputGbps = _window.goodputBytes * 8.0 / secs / 1e9;
+    m.achievedRps = static_cast<double>(_window.completed) / secs;
+    m.energy = energy;
     m.stageStats = _pipeline->snapshot();
     if (_tracer)
         m.slowestTraces = _tracer->slowest();
@@ -456,94 +465,76 @@ Testbed::collect(sim::Tick warmup, sim::Tick window,
 }
 
 Measurement
-Testbed::measure(double gbps, sim::Tick warmup, sim::Tick window)
+Testbed::runWindow(double offered_gbps, sim::Tick warmup,
+                   sim::Tick window,
+                   const std::function<void(sim::Tick)> &start)
 {
-    const workloads::Spec &spec = _workload->spec();
-    beginWindow();
-    _closedLoopActive = false;
-
-    const sim::Tick start = _sim->now();
-    const sim::Tick window_start = start + warmup;
+    openWindow();
+    const sim::Tick window_start = _sim->now() + warmup;
     const sim::Tick window_end = window_start + window;
-
-    if (spec.drive == workloads::Drive::Network) {
-        _gen->startAtRate(gbps, window_end);
-    } else {
-        // Local open-loop job generator (Cryptography).
-        startLocalGenerator(gbps, window_end);
-    }
-
+    start(window_end);
     _sim->runUntil(window_start);
-    resetWindowObservers();
-    _recording = true;
-    power::EnergyMeter meter(*_server, *_power);
-    meter.begin();
+    armWindow();
     _sim->runUntil(window_end);
-    _recording = false;
+    const power::EnergyReading energy = closeWindow();
     if (_gen)
         _gen->stop();
+    _closedLoopActive = false;
+    return collect(offered_gbps, window, energy);
+}
 
-    Measurement m = collect(warmup, window, gbps);
-    m.energy = meter.end(_wireBytes / 2.0);
-    return m;
+Measurement
+Testbed::measure(double gbps, sim::Tick warmup, sim::Tick window)
+{
+    return runWindow(gbps, warmup, window, [this, gbps](sim::Tick end) {
+        if (_gen)
+            _gen->startAtRate(gbps, end);
+        else
+            startLocalGenerator(gbps, end);  // Cryptography's jobs
+    });
 }
 
 Measurement
 Testbed::measureClosedLoop(unsigned depth, sim::Tick warmup,
                            sim::Tick window)
 {
-    beginWindow();
-
-    _closedLoopActive = true;
-    _targetDepth = depth;
-    _inFlight = 0;
-    for (unsigned i = 0; i < depth; ++i)
-        issueClosedLoopJob();
-
-    const sim::Tick window_start = _sim->now() + warmup;
-    const sim::Tick window_end = window_start + window;
-    _sim->runUntil(window_start);
-    resetWindowObservers();
-    _recording = true;
-    power::EnergyMeter meter(*_server, *_power);
-    meter.begin();
-    _sim->runUntil(window_end);
-    _recording = false;
-    _closedLoopActive = false;
-
-    Measurement m = collect(warmup, window, 0.0);
-    m.energy = meter.end(_wireBytes / 2.0);
-    return m;
+    return runWindow(0.0, warmup, window, [this, depth](sim::Tick) {
+        _closedLoopActive = true;
+        _targetDepth = depth;
+        _inFlight = 0;
+        for (unsigned i = 0; i < depth; ++i)
+            issueClosedLoopJob();
+    });
 }
 
 Measurement
 Testbed::replaySchedule(const std::vector<double> &rates_gbps,
                         sim::Tick bin)
 {
-    if (_workload->spec().drive != workloads::Drive::Network)
+    if (!_gen)
         sim::fatal("Testbed::replaySchedule requires a network drive");
-    beginWindow();
-    _closedLoopActive = false;
+    openWindow();
     _servedSeries = std::make_unique<stats::TimeSeries>(bin);
 
+    // No warm-up: the window is armed as the schedule starts.
     const sim::Tick start = _sim->now();
     const sim::Tick end = start + bin * rates_gbps.size();
     _gen->startSchedule(rates_gbps, bin);
-    _recording = true;
-    power::EnergyMeter meter(*_server, *_power);
-    meter.begin();
-    // Run a little past the end so in-flight requests drain.
+    armWindow();
     _sim->runUntil(end);
-    _recording = false;
+    // Run a little past the end so in-flight requests drain. Only the
+    // stage stats and the energy meter see the drain: recording
+    // stops at the schedule's end.
+    _window.recording = false;
     _sim->runUntil(end + sim::msToTicks(2.0));
+    const power::EnergyReading energy = closeWindow();
 
     double mean_rate = 0.0;
     for (double r : rates_gbps)
         mean_rate += r;
     mean_rate /= static_cast<double>(rates_gbps.size());
 
-    Measurement m = collect(0, end - start, mean_rate);
-    m.energy = meter.end(_wireBytes / 2.0);
+    Measurement m = collect(mean_rate, end - start, energy);
     const std::size_t first_bin =
         static_cast<std::size_t>(start / bin);
     for (std::size_t i = first_bin;

@@ -23,7 +23,9 @@
 #ifndef SNIC_CORE_TESTBED_HH
 #define SNIC_CORE_TESTBED_HH
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/chain.hh"
@@ -147,6 +149,22 @@ struct Measurement
     double meanUs() const { return sim::ticksToUs(latency.mean()); }
 };
 
+/** What a measurement window counts while it records (zeroed when
+ *  the window is armed). */
+struct WindowCounters
+{
+    bool recording = false;
+    stats::Histogram latency;  ///< end-to-end, in ticks
+    std::uint64_t completed = 0;
+    /** Completions excluded by TestbedConfig::goodFilter. */
+    std::uint64_t floodCompleted = 0;
+    /** Requests served by the pipeline while recording. */
+    std::uint64_t generated = 0;
+    double bytesServed = 0.0;   ///< request bytes
+    double goodputBytes = 0.0;  ///< max(request, response) bytes
+    double wireBytes = 0.0;     ///< request + response bytes
+};
+
 /** The wire protocol a stack kind carries (generator packet tag). */
 net::Proto protoFor(stack::StackKind kind);
 
@@ -224,11 +242,48 @@ class Testbed : private EgressSink
     const Pipeline &pipeline() const { return *_pipeline; }
     /** The client-to-server link (rack dispatch injects here). */
     net::Link &upLink() { return *_upLink; }
+    /** The server-to-client link (responses serialize here). */
+    net::Link &downLink() { return *_downLink; }
+
+    // The measurement-window protocol (DESIGN.md §5): every driver —
+    // measure, measureClosedLoop, replaySchedule, Rack::measure and
+    // the fleet's bins — opens, arms and closes through these steps.
+
+    /** Advance the pipeline epoch (older requests drop unrecorded),
+     *  clear stage stats and the tracer, stop recording, and drain
+     *  the datapath. */
+    void openWindow();
+
+    /** The measured edge (after warm-up): zero the counters, restart
+     *  the window observers, start recording and the energy meter.
+     *  Stats only — never touches queues or the event schedule. */
+    void armWindow();
+
+    /** Stop recording and end the energy meter over the window's
+     *  wire bytes. Fatal when no window is armed. */
+    power::EnergyReading closeWindow();
+
+    /** The armed (or last closed) window's counters. */
+    const WindowCounters &windowCounters() const { return _window; }
+
+    /** The closed window's Measurement: rates over @p window ticks,
+     *  stage stats, slowest traces and engine snapshots, plus
+     *  @p energy from closeWindow(). */
+    Measurement collect(double offered_gbps, sim::Tick window,
+                        const power::EnergyReading &energy);
+
+    /**
+     * Install a rack-assembled spanning chain on this (ingress)
+     * member: replaces the local chain with one whose stages carry
+     * per-member servers and ToR paths, and rebuilds the pipeline so
+     * the egress response leaves on @p egress_down, the *last*
+     * stage's member's down link. Standalone assembly rejects
+     * member != 0 fatally, so only a Rack builds such a chain.
+     */
+    void installRackChain(std::vector<ChainStageRuntime> chain,
+                          net::Link &egress_down);
 
   private:
-    /** The rack composition drives member windows directly. */
-    friend class Rack;
-
     TestbedConfig _config;
     /** Set when this testbed owns its Simulation (the single-server
      *  construction); empty when assembled onto a shared one. */
@@ -262,14 +317,10 @@ class Testbed : private EgressSink
     // Live measurement state. The pipeline's epoch guards against
     // requests left in flight by a previous measurement window:
     // anything created before it is dropped unrecorded.
-    bool _recording = false;
-    stats::Histogram _latency;
-    std::uint64_t _completed = 0;
-    std::uint64_t _floodCompleted = 0;
-    std::uint64_t _generatedInWindow = 0;
-    double _bytesServed = 0.0;   ///< request bytes
-    double _goodputBytes = 0.0;  ///< max(request, response) bytes
-    double _wireBytes = 0.0;     ///< request + response bytes
+    WindowCounters _window;
+    /** The armed window's energy meter (empty when no window is
+     *  armed). */
+    std::optional<power::EnergyMeter> _meter;
     /** Per-bin served-byte series, active during replaySchedule. */
     std::unique_ptr<stats::TimeSeries> _servedSeries;
 
@@ -291,37 +342,18 @@ class Testbed : private EgressSink
     void issueClosedLoopJob();
     void startLocalGenerator(double gbps, sim::Tick until);
     void scheduleLocalJob(double jobs_per_sec, sim::Tick until);
-    Measurement collect(sim::Tick warmup, sim::Tick window,
-                        double offered_gbps);
+
+    /** Open, let @p start begin traffic that ends at the window's
+     *  end tick, warm up, arm, run the window, close and collect. */
+    Measurement
+    runWindow(double offered_gbps, sim::Tick warmup, sim::Tick window,
+              const std::function<void(sim::Tick window_end)> &start);
 
     /** The CPU platform that serves this config. */
     hw::ExecutionPlatform &servingCpu();
 
     /** The engine platform serving this workload's accelerator work. */
     hw::ExecutionPlatform &accelEngine();
-
-    /**
-     * Install a rack-assembled spanning chain (called by the friend
-     * Rack on the ingress member): replaces this member's local chain
-     * with one whose stages carry per-member servers and ToR paths,
-     * and rebuilds the pipeline so the egress response leaves on the
-     * *last* stage's member's down link. Only the Rack can build such
-     * a chain — standalone assembly rejects member != 0 fatally.
-     */
-    void installRackChain(std::vector<ChainStageRuntime> chain,
-                          net::Link &egress_down);
-
-    /** Restart the window-scoped observers (trace recorder, engine
-     *  ring + batching stats) at the warmup/window boundary. Stats
-     *  only — never touches queues or the event schedule. */
-    void resetWindowObservers();
-
-    /** Start a fresh measurement window: advance the epoch, clear
-     *  the recorders and per-stage stats. */
-    void beginWindow();
-
-    /** Drain queues and clear link/PCIe backlog between windows. */
-    void resetDatapath();
 };
 
 } // namespace snic::core

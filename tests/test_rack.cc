@@ -313,3 +313,20 @@ TEST(RackDeath, LocalDriveWorkloadsCannotFormARack)
     EXPECT_EXIT({ Rack rack(cfg); },
                 ::testing::ExitedWithCode(1), "");
 }
+
+TEST(RackDeath, EndBinWithoutBeginBinIsFatal)
+{
+    // A bin closes only a window that beginBin armed: once after
+    // beginTrace alone, and again after the bin was already closed.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Rack rack(rackConfig(2, net::DispatchPolicy::RoundRobin));
+    const sim::Tick bin = sim::msToTicks(1.0);
+    rack.beginTrace(std::vector<double>(2, 10.0), bin);
+    EXPECT_EXIT(rack.endBin(bin), ::testing::ExitedWithCode(1),
+                "never armed");
+    rack.beginBin();
+    rack.sim().runUntil(bin);
+    rack.endBin(bin);
+    EXPECT_EXIT(rack.endBin(bin), ::testing::ExitedWithCode(1),
+                "never armed");
+}
