@@ -133,8 +133,8 @@ class TorSwitch
      * probe set — a least_queue probe would otherwise read the
      * sleeping member's empty queue and herd the whole rack onto a
      * box that serves nothing. Fatal if the last live member is
-     * removed. With every member live (the default) each policy runs
-     * its original code path, bit for bit.
+     * removed. With every member live (the default) the live list is
+     * the identity, so each policy picks as over the whole rack.
      */
     void setLive(unsigned m, bool live);
 
@@ -142,7 +142,10 @@ class TorSwitch
     bool live(unsigned m) const { return _live.at(m); }
 
     /** Number of dispatchable members. */
-    unsigned liveCount() const { return _liveCount; }
+    unsigned liveCount() const
+    {
+        return static_cast<unsigned>(_liveList.size());
+    }
 
     /** Choose the member for @p pkt. */
     unsigned pick(const Packet &pkt);
@@ -202,14 +205,12 @@ class TorSwitch
     std::vector<std::uint64_t> _loadScratch;
     /** Eligibility mask (all true by default). */
     std::vector<bool> _live;
-    unsigned _liveCount;
-    /** Indices of the live members, ascending — rebuilt by setLive
-     *  so pick() never scans the mask. */
+    /** Indices of the live members, ascending (the identity list
+     *  when every member is live) — rebuilt by setLive so pick()
+     *  never scans the mask. */
     std::vector<unsigned> _liveList;
 
     std::uint64_t load(unsigned member);
-    /** pick() over a partially-live rack (any policy). */
-    unsigned pickFiltered(const Packet &pkt);
 };
 
 } // namespace snic::net
