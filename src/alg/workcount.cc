@@ -5,8 +5,6 @@
 
 #include "alg/workcount.hh"
 
-#include <sstream>
-
 namespace snic::alg {
 
 WorkCounters &
@@ -24,22 +22,6 @@ WorkCounters::operator+=(const WorkCounters &other)
     return *this;
 }
 
-WorkCounters
-WorkCounters::operator-(const WorkCounters &other) const
-{
-    WorkCounters r;
-    r.streamBytes = streamBytes - other.streamBytes;
-    r.randomTouches = randomTouches - other.randomTouches;
-    r.branchyOps = branchyOps - other.branchyOps;
-    r.arithOps = arithOps - other.arithOps;
-    r.cryptoBlocks = cryptoBlocks - other.cryptoBlocks;
-    r.hashBlocks = hashBlocks - other.hashBlocks;
-    r.bigMulOps = bigMulOps - other.bigMulOps;
-    r.kernelOps = kernelOps - other.kernelOps;
-    r.messages = messages - other.messages;
-    return r;
-}
-
 bool
 WorkCounters::empty() const
 {
@@ -47,22 +29,6 @@ WorkCounters::empty() const
            arithOps == 0 && cryptoBlocks == 0 && hashBlocks == 0 &&
            bigMulOps == 0 && kernelOps == 0 &&
            messages == 0;
-}
-
-std::string
-WorkCounters::toString() const
-{
-    std::ostringstream os;
-    os << "stream=" << streamBytes
-       << " random=" << randomTouches
-       << " branchy=" << branchyOps
-       << " arith=" << arithOps
-       << " crypto=" << cryptoBlocks
-       << " hash=" << hashBlocks
-       << " bigmul=" << bigMulOps
-       << " kernel=" << kernelOps
-       << " msgs=" << messages;
-    return os.str();
 }
 
 } // namespace snic::alg

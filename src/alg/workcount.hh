@@ -15,7 +15,6 @@
 #define SNIC_ALG_WORKCOUNT_HH
 
 #include <cstdint>
-#include <string>
 
 namespace snic::alg {
 
@@ -57,14 +56,8 @@ struct WorkCounters
     /** Element-wise sum. */
     WorkCounters &operator+=(const WorkCounters &other);
 
-    /** Element-wise difference (for interval accounting). */
-    WorkCounters operator-(const WorkCounters &other) const;
-
     /** True when every category is zero. */
     bool empty() const;
-
-    /** Debug rendering, one "name=value" pair per category. */
-    std::string toString() const;
 };
 
 } // namespace snic::alg

@@ -9,20 +9,6 @@
 
 namespace snic::core {
 
-const char *
-autoscalerKindName(AutoscalerKind k)
-{
-    switch (k) {
-      case AutoscalerKind::Static:
-        return "static";
-      case AutoscalerKind::ReactiveUtilization:
-        return "reactive_util";
-      case AutoscalerKind::P99Feedback:
-        return "p99_feedback";
-    }
-    sim::panic("autoscalerKindName: bad kind");
-}
-
 Autoscaler::Autoscaler(const AutoscalerConfig &config, unsigned start)
     : _config(config), _current(start)
 {

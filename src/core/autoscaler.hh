@@ -42,9 +42,6 @@ enum class AutoscalerKind
     P99Feedback,         ///< SLO-tail feedback with hysteresis
 };
 
-/** Display name ("static", "reactive_util", "p99_feedback"). */
-const char *autoscalerKindName(AutoscalerKind k);
-
 /** Policy parameters. Validated fatally by the Autoscaler ctor. */
 struct AutoscalerConfig
 {

@@ -57,23 +57,4 @@ chainPcieCrossings(const std::vector<ChainStageRuntime> &chain)
     return pcieCrossings(placements);
 }
 
-unsigned
-memberHops(const std::vector<ChainStageRuntime> &chain)
-{
-    unsigned hops = 0;
-    for (std::size_t k = 1; k < chain.size(); ++k)
-        if (chain[k].member != chain[k - 1].member)
-            ++hops;
-    return hops;
-}
-
-bool
-spansMembers(const std::vector<ChainStageRuntime> &chain)
-{
-    for (const ChainStageRuntime &stage : chain)
-        if (stage.member != chain.front().member)
-            return true;
-    return false;
-}
-
 } // namespace snic::core

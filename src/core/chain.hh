@@ -135,13 +135,6 @@ unsigned pcieCrossings(const std::vector<hw::Placement> &placements);
 /** Same, over an assembled chain. */
 unsigned chainPcieCrossings(const std::vector<ChainStageRuntime> &chain);
 
-/** Cross-member hops an assembled chain pays (consecutive stages on
- *  different rack members). */
-unsigned memberHops(const std::vector<ChainStageRuntime> &chain);
-
-/** Whether the assembled chain spans more than one rack member. */
-bool spansMembers(const std::vector<ChainStageRuntime> &chain);
-
 } // namespace snic::core
 
 #endif // SNIC_CORE_CHAIN_HH

@@ -63,16 +63,6 @@ accelBatchDefaults(AccelKind kind)
 }
 
 std::unique_ptr<ExecutionPlatform>
-makeAccelerator(sim::Simulation &sim, AccelKind kind,
-                const BatchConfig &batch)
-{
-    auto engine = makeAccelerator(sim, kind);
-    if (batch.enabled())
-        engine->setDiscipline(makeCoalescing(batch));
-    return engine;
-}
-
-std::unique_ptr<ExecutionPlatform>
 makeAccelerator(sim::Simulation &sim, AccelKind kind)
 {
     CostModel m;  // all-zero: accelerators price only what they do

@@ -44,17 +44,6 @@ std::unique_ptr<ExecutionPlatform>
 makeAccelerator(sim::Simulation &sim, AccelKind kind);
 
 /**
- * Create an engine with an explicit coalescing configuration: when
- * @p batch coalesces (maxBatch > 1 or a nonzero window) the engine's
- * queue runs the Coalescing discipline, otherwise the Immediate
- * identity path. Sentinel (< 0) setup/pipeline fields inherit the
- * engine's per-request figures.
- */
-std::unique_ptr<ExecutionPlatform>
-makeAccelerator(sim::Simulation &sim, AccelKind kind,
-                const BatchConfig &batch);
-
-/**
  * The engine's calibrated hardware batching parameters (the DOCA job
  * path): REM coalesces ~32 packets per RXP job; PKA and Compression
  * post one job per request (identity configs).
