@@ -625,7 +625,7 @@ TEST(CoalescedStats, AcceleratorStageRecordsOccupancyAndStall)
 TEST(CoalescedStats, WindowResetClearsHalfBuiltBatches)
 {
     // A measurement window that ends mid-batch must not leak those
-    // members into the next window: beginWindow() drains the engine
+    // members into the next window: openWindow() drains the engine
     // queue, so a reused testbed measures like a fresh one.
     TestbedConfig cfg;
     cfg.workloadId = "rem_exe_mtu";
