@@ -487,10 +487,12 @@ Measurement
 Testbed::measure(double gbps, sim::Tick warmup, sim::Tick window)
 {
     return runWindow(gbps, warmup, window, [this, gbps](sim::Tick end) {
-        if (_gen)
+        if (_gen) {
             _gen->startAtRate(gbps, end);
-        else
-            startLocalGenerator(gbps, end);  // Cryptography's jobs
+        } else {
+            // Local open-loop job generator (Cryptography).
+            startLocalGenerator(gbps, end);
+        }
     });
 }
 

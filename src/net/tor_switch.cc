@@ -66,7 +66,6 @@ TorSwitch::TorSwitch(const TorConfig &config)
       _live(config.members, true),
       _liveList(config.members)
 {
-    std::iota(_liveList.begin(), _liveList.end(), 0u);
     if (_config.members == 0)
         sim::fatal("TorSwitch: a rack needs at least one member");
     if (_config.policy == DispatchPolicy::PassThrough &&
@@ -81,6 +80,8 @@ TorSwitch::TorSwitch(const TorConfig &config)
         sim::fatal("TorSwitch: random_dchoice needs at least one "
                    "probe (d >= 1)");
     }
+    // Every member starts live: the identity list.
+    std::iota(_liveList.begin(), _liveList.end(), 0u);
 }
 
 double
