@@ -245,7 +245,7 @@ class Testbed : private EgressSink
     /** The server-to-client link (responses serialize here). */
     net::Link &downLink() { return *_downLink; }
 
-    // The measurement-window protocol (DESIGN.md §5): every driver —
+    // The measurement-window protocol (DESIGN.md §5): every window —
     // measure, measureClosedLoop, replaySchedule, Rack::measure and
     // the fleet's bins — opens, arms and closes through these steps.
 

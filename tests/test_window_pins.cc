@@ -1,6 +1,6 @@
 /**
  * @file
- * Bitwise pins for the two measurement-window drivers the golden
+ * Bitwise pins for the two kinds of measurement window the golden
  * cells do not reach: Testbed::replaySchedule (Table 4's setting) and
  * runRackExperiment (a capacity search plus a load-point window over
  * a 3-member rack). The golden suite in test_queue_discipline pins
@@ -87,8 +87,8 @@ TEST(WindowPins, ReplayScheduleHost)
 TEST(WindowPins, ReplayScheduleSnicAccel)
 {
     // The last stage forwards two more requests than complete: the
-    // 2 ms drain after the schedule moves stage stats but no longer
-    // records completions.
+    // 2 ms drain after the schedule moves the stage stats but records
+    // no completions.
     expectReplayPin(replayTable4(hw::Platform::SnicAccel),
                     {37764u, 37764u, 19529728u, 21102592u,
                      0x1.82b40f66a5508p-1, 0x1.308cb603d4ee2p+7,
