@@ -151,6 +151,20 @@ Random::discrete(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
+Random::State
+Random::state() const
+{
+    return State{_s, _haveSpare, _spare};
+}
+
+void
+Random::restore(const State &state)
+{
+    _s = state.words;
+    _haveSpare = state.haveSpare;
+    _spare = state.spare;
+}
+
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     : _n(n), _theta(theta)
 {

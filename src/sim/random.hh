@@ -11,6 +11,7 @@
 #ifndef SNIC_SIM_RANDOM_HH
 #define SNIC_SIM_RANDOM_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -56,8 +57,25 @@ class Random
      */
     std::size_t discrete(const std::vector<double> &weights);
 
+    /** The generator's complete state: the four xoshiro words and
+     *  the Box-Muller spare. Equal states draw equal streams. */
+    struct State
+    {
+        std::array<std::uint64_t, 4> words{};
+        bool haveSpare = false;
+        double spare = 0.0;
+
+        bool operator==(const State &) const = default;
+    };
+
+    State state() const;
+
+    /** Continue from @p state, as if this generator had drawn its
+     *  way there. */
+    void restore(const State &state);
+
   private:
-    std::uint64_t _s[4];
+    std::array<std::uint64_t, 4> _s;
     bool _haveSpare = false;
     double _spare = 0.0;
 };

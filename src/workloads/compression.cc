@@ -7,6 +7,7 @@
 #include "workloads/compression.hh"
 
 #include "alg/deflate/deflate.hh"
+#include "workloads/setup_cache.hh"
 
 namespace snic::workloads {
 
@@ -107,9 +108,18 @@ Compression::Compression(CompInput input, CompDir dir)
 void
 Compression::setup(sim::Random &rng)
 {
+    _blocks = cachedSetup<Blocks>(id(), rng, [this](sim::Random &r) {
+        return measureBlocks(_input, _dir, r);
+    });
+}
+
+Compression::Blocks
+Compression::measureBlocks(CompInput input, CompDir dir,
+                           sim::Random &rng)
+{
     const std::size_t blocks = 6;
     const auto corpus =
-        _input == CompInput::App
+        input == CompInput::App
             ? makeAppCorpus(blocks * blockBytes, rng)
             : makeTxtCorpus(blocks * blockBytes, rng);
 
@@ -120,6 +130,7 @@ Compression::setup(sim::Random &rng)
     // in hardware either way.
     const alg::deflate::Deflate ratio_codec(9);
     const alg::deflate::Deflate work_codec(2);
+    Blocks out;
     std::size_t in_total = 0, out_total = 0;
     for (std::size_t b = 0; b < blocks; ++b) {
         std::vector<std::uint8_t> block(
@@ -128,7 +139,7 @@ Compression::setup(sim::Random &rng)
         alg::WorkCounters ratio_work;
         const auto compressed = ratio_codec.compress(block, ratio_work);
         alg::WorkCounters w;
-        if (_dir == CompDir::Compress) {
+        if (dir == CompDir::Compress) {
             work_codec.compress(block, w);
         } else {
             // Decompression work is measured on the real inflate of
@@ -137,13 +148,14 @@ Compression::setup(sim::Random &rng)
             ratio_codec.decompress(compressed, w);
         }
         w.messages = 1;
-        _blockWork.push_back(w);
-        _compressedSizes.push_back(
+        out.work.push_back(w);
+        out.compressedSizes.push_back(
             static_cast<std::uint32_t>(compressed.size()));
         in_total += block.size();
         out_total += compressed.size();
     }
-    _ratio = alg::deflate::Deflate::ratio(in_total, out_total);
+    out.ratio = alg::deflate::Deflate::ratio(in_total, out_total);
+    return out;
 }
 
 RequestPlan
@@ -153,7 +165,7 @@ Compression::plan(std::uint32_t request_bytes, hw::Platform platform,
     (void)request_bytes;
     RequestPlan p;
     const std::size_t idx = static_cast<std::size_t>(
-        rng.uniformInt(0, _blockWork.size() - 1));
+        rng.uniformInt(0, _blocks->work.size() - 1));
     if (platform == hw::Platform::SnicAccel) {
         // Staging: read the block into a DPDK buffer and submit. The
         // engine streams the *input* side of the job either way.
@@ -161,10 +173,10 @@ Compression::plan(std::uint32_t request_bytes, hw::Platform platform,
         p.cpuWork.streamBytes = blockBytes / 8;  // descriptor setup
         p.accelWork.streamBytes =
             _dir == CompDir::Compress ? blockBytes
-                                      : _compressedSizes[idx];
+                                      : _blocks->compressedSizes[idx];
         p.accelWork.messages = 1;
     } else {
-        p.cpuWork = _blockWork[idx];
+        p.cpuWork = _blocks->work[idx];
         if (platform == hw::Platform::HostCpu) {
             // The host runs ISA-L: AVX match kernels process many
             // candidates per step and skip the literal-by-literal
@@ -185,7 +197,7 @@ Compression::plan(std::uint32_t request_bytes, hw::Platform platform,
         }
     }
     p.responseBytes = _dir == CompDir::Compress
-                          ? _compressedSizes[idx]
+                          ? _blocks->compressedSizes[idx]
                           : static_cast<std::uint32_t>(blockBytes);
     return p;
 }

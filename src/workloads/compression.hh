@@ -9,6 +9,7 @@
 #ifndef SNIC_WORKLOADS_COMPRESSION_HH
 #define SNIC_WORKLOADS_COMPRESSION_HH
 
+#include <memory>
 #include <vector>
 
 #include "workloads/workload.hh"
@@ -42,16 +43,27 @@ class Compression : public Workload
     /** Per-job input block size (DPDK compress-perf style). */
     static constexpr std::size_t blockBytes = 65536;
 
-    /** Measured compression ratio of the corpus (sanity output). */
-    double measuredRatio() const { return _ratio; }
+    /** Measured compression ratio of the corpus (sanity output;
+     *  valid after setup). */
+    double measuredRatio() const { return _blocks->ratio; }
 
   private:
+    /** What setup measures over the corpus blocks; shared by every
+     *  instance set up with the same id and RNG state
+     *  (setup_cache.hh). */
+    struct Blocks
+    {
+        std::vector<alg::WorkCounters> work;
+        std::vector<std::uint32_t> compressedSizes;
+        double ratio = 0.0;
+    };
+
+    static Blocks measureBlocks(CompInput input, CompDir dir,
+                                sim::Random &rng);
+
     CompInput _input;
     CompDir _dir;
-    /** Pre-measured per-block work, sampled over corpus blocks. */
-    std::vector<alg::WorkCounters> _blockWork;
-    std::vector<std::uint32_t> _compressedSizes;
-    double _ratio = 0.0;
+    std::shared_ptr<const Blocks> _blocks;
 };
 
 } // namespace snic::workloads

@@ -11,6 +11,7 @@
 #include "alg/crypto/rsa.hh"
 #include "alg/crypto/sha1.hh"
 #include "sim/logging.hh"
+#include "workloads/setup_cache.hh"
 
 namespace snic::workloads {
 
@@ -56,8 +57,15 @@ Crypto::Crypto(CryptoAlg alg)
 void
 Crypto::setup(sim::Random &rng)
 {
-    _jobWork = alg::WorkCounters{};
-    switch (_alg) {
+    _jobWork = cachedSetup<alg::WorkCounters>(
+        id(), rng, [this](sim::Random &r) { return measureJob(_alg, r); });
+}
+
+alg::WorkCounters
+Crypto::measureJob(CryptoAlg kind, sim::Random &rng)
+{
+    alg::WorkCounters job;
+    switch (kind) {
       case CryptoAlg::Aes: {
         alg::crypto::Aes128::Key key{};
         for (auto &b : key)
@@ -66,14 +74,14 @@ Crypto::setup(sim::Random &rng)
         std::vector<std::uint8_t> buffer(bufferBytes);
         for (auto &b : buffer)
             b = static_cast<std::uint8_t>(rng.next());
-        aes.ctr(buffer, rng.next(), _jobWork);
+        aes.ctr(buffer, rng.next(), job);
         break;
       }
       case CryptoAlg::Sha1: {
         std::vector<std::uint8_t> buffer(bufferBytes);
         for (auto &b : buffer)
             b = static_cast<std::uint8_t>(rng.next());
-        alg::crypto::Sha1::digest(buffer, _jobWork);
+        alg::crypto::Sha1::digest(buffer, job);
         break;
       }
       case CryptoAlg::Rsa: {
@@ -81,14 +89,15 @@ Crypto::setup(sim::Random &rng)
         const auto key =
             alg::crypto::Rsa::generate(rsaBits, rng, keygen_work);
         const auto m = alg::crypto::Bignum::fromUint(rng.next() >> 1);
-        const auto c = alg::crypto::Rsa::encrypt(m, key, _jobWork);
+        const auto c = alg::crypto::Rsa::encrypt(m, key, job);
         // The measured unit is the private-key operation.
-        _jobWork = alg::WorkCounters{};
-        alg::crypto::Rsa::decrypt(c, key, _jobWork);
+        job = alg::WorkCounters{};
+        alg::crypto::Rsa::decrypt(c, key, job);
         break;
       }
     }
-    _jobWork.messages = 1;
+    job.messages = 1;
+    return job;
 }
 
 RequestPlan
@@ -103,9 +112,9 @@ Crypto::plan(std::uint32_t request_bytes, hw::Platform platform,
         // the algorithm.
         p.cpuWork.branchyOps = 60;
         p.cpuWork.arithOps = 30;
-        p.accelWork = _jobWork;
+        p.accelWork = *_jobWork;
     } else {
-        p.cpuWork = _jobWork;
+        p.cpuWork = *_jobWork;
     }
     p.responseBytes = 0;  // local computation
     return p;

@@ -9,6 +9,8 @@
 #ifndef SNIC_WORKLOADS_CRYPTO_HH
 #define SNIC_WORKLOADS_CRYPTO_HH
 
+#include <memory>
+
 #include "workloads/workload.hh"
 
 namespace snic::workloads {
@@ -35,12 +37,14 @@ class Crypto : public Workload
 
     CryptoAlg alg() const { return _alg; }
 
-    /** Deterministic per-job work measured from the real algorithm. */
-    const alg::WorkCounters &jobWork() const { return _jobWork; }
-
   private:
+    static alg::WorkCounters measureJob(CryptoAlg kind,
+                                        sim::Random &rng);
+
     CryptoAlg _alg;
-    alg::WorkCounters _jobWork;
+    /** Deterministic per-job work measured from the real algorithm;
+     *  shared across instances (setup_cache.hh). */
+    std::shared_ptr<const alg::WorkCounters> _jobWork;
 };
 
 /** Algorithm display name. */

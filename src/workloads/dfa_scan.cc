@@ -24,22 +24,26 @@ ScanProfile::ScanProfile(alg::regex::RuleSetId id,
                          double match_probability, std::size_t samples,
                          sim::Random &rng)
 {
-    const alg::regex::RuleSet rules = alg::regex::makeRuleSet(id);
-    _compiled = std::make_unique<alg::regex::CompiledRuleSet>(rules);
-    _modeledTableBytes =
-        static_cast<double>(_compiled->tableBytes()) *
-        ruleScaleFor(id);
-
+    // Allocate what the profile keeps before the DFA, which dies on
+    // return, so the kept bytes do not split the heap it frees.
+    _buckets.reserve(sizes.size());
     for (std::uint32_t size : sizes) {
-        Bucket bucket;
-        bucket.bytes = size;
+        _buckets.push_back(Bucket{size, {}});
+        _buckets.back().samples.reserve(samples);
+    }
+
+    const alg::regex::RuleSet rules = alg::regex::makeRuleSet(id);
+    const alg::regex::CompiledRuleSet compiled(rules);
+    _modeledTableBytes =
+        static_cast<double>(compiled.tableBytes()) * ruleScaleFor(id);
+
+    for (Bucket &bucket : _buckets) {
         for (std::size_t i = 0; i < samples; ++i) {
             const auto payload = alg::regex::synthesizePayload(
-                rules, size, match_probability, rng);
+                rules, bucket.bytes, match_probability, rng);
             alg::WorkCounters w;
-            const bool hit = _compiled->dfa().matchesAny(
+            const bool hit = compiled.dfa().matchesAny(
                 payload.data(), payload.size(), w);
-            _matches += hit;
             // An IDS confirms and logs hits (alert formatting).
             if (hit) {
                 w.branchyOps += 400;
@@ -47,7 +51,6 @@ ScanProfile::ScanProfile(alg::regex::RuleSetId id,
             }
             bucket.samples.push_back(w);
         }
-        _buckets.push_back(std::move(bucket));
     }
 }
 

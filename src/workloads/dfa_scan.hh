@@ -25,7 +25,6 @@
 #ifndef SNIC_WORKLOADS_DFA_SCAN_HH
 #define SNIC_WORKLOADS_DFA_SCAN_HH
 
-#include <memory>
 #include <vector>
 
 #include "alg/regex/ruleset.hh"
@@ -41,7 +40,8 @@ namespace snic::workloads {
 double ruleScaleFor(alg::regex::RuleSetId id);
 
 /**
- * A compiled rule set plus pre-sampled per-packet scan costs.
+ * Pre-sampled per-packet scan costs of a rule set. The compiled DFA
+ * is needed only while sampling and is not kept.
  */
 class ScanProfile
 {
@@ -62,18 +62,8 @@ class ScanProfile
     /** Extrapolated transition-table footprint in bytes. */
     double modeledTableBytes() const { return _modeledTableBytes; }
 
-    const alg::regex::CompiledRuleSet &compiled() const
-    {
-        return *_compiled;
-    }
-
-    /** Matches observed while sampling (sanity statistics). */
-    std::uint64_t sampledMatches() const { return _matches; }
-
   private:
-    std::unique_ptr<alg::regex::CompiledRuleSet> _compiled;
     double _modeledTableBytes;
-    std::uint64_t _matches = 0;
 
     struct Bucket
     {

@@ -19,6 +19,7 @@
 #include "workloads/ovs.hh"
 #include "workloads/redis.hh"
 #include "workloads/rem.hh"
+#include "workloads/setup_cache.hh"
 #include "workloads/snort.hh"
 
 namespace snic::workloads {
@@ -193,15 +194,18 @@ FunctionProfile::cpuNsAt(hw::Platform where) const
     return 0.0;
 }
 
+namespace {
+
+/** functionProfile's sampling, drawing every request from @p rng. */
 FunctionProfile
-functionProfile(const std::string &id, std::uint64_t seed, int samples)
+sampleProfile(const std::string &id, std::uint64_t seed, int samples,
+              sim::Random &rng)
 {
     // A scratch simulation prices the sampled plans; nothing is
     // scheduled, so this costs one ServerModel construction.
     sim::Simulation sim(seed);
     hw::ServerModel server(sim);
     WorkloadPtr wl = makeWorkload(id);
-    sim::Random rng(seed + 4242);
     wl->setup(rng);
 
     const Spec &spec = wl->spec();
@@ -257,6 +261,20 @@ functionProfile(const std::string &id, std::uint64_t seed, int samples)
     p.accelStagingNs /= n;
     p.engineNs /= n;
     return p;
+}
+
+} // anonymous namespace
+
+FunctionProfile
+functionProfile(const std::string &id, std::uint64_t seed, int samples)
+{
+    // Prices are pure functions of the sampled work, so the seed
+    // reaches the profile only through this generator; caching on
+    // its state keeps the profile a pure function of the arguments.
+    sim::Random rng(seed + 4242);
+    return *cachedSetup<FunctionProfile>(
+        id + " x" + std::to_string(samples), rng,
+        [&](sim::Random &r) { return sampleProfile(id, seed, samples, r); });
 }
 
 } // namespace snic::workloads

@@ -5,6 +5,8 @@
 
 #include "workloads/rem.hh"
 
+#include "workloads/setup_cache.hh"
+
 namespace snic::workloads {
 
 namespace {
@@ -64,9 +66,10 @@ Rem::setup(sim::Random &rng)
         _traffic == RemTraffic::Mtu
             ? std::vector<std::uint32_t>{net::mtuBytes}
             : std::vector<std::uint32_t>{64, 576, 1024, 1500};
-    _profile = std::make_unique<ScanProfile>(
-        _ruleset, sizes, /*match_probability=*/0.02, /*samples=*/96,
-        rng);
+    _profile = cachedSetup<ScanProfile>(id(), rng, [&](sim::Random &r) {
+        return ScanProfile(_ruleset, sizes, /*match_probability=*/0.02,
+                           /*samples=*/96, r);
+    });
 }
 
 RequestPlan

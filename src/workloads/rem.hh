@@ -34,12 +34,11 @@ class Rem : public Workload
     RequestPlan plan(std::uint32_t request_bytes, hw::Platform platform,
                      sim::Random &rng) override;
 
-    const ScanProfile &profile() const { return *_profile; }
-
   private:
     alg::regex::RuleSetId _ruleset;
     RemTraffic _traffic;
-    std::unique_ptr<ScanProfile> _profile;
+    /** Shared across instances (setup_cache.hh). */
+    std::shared_ptr<const ScanProfile> _profile;
 };
 
 } // namespace snic::workloads

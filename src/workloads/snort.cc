@@ -5,6 +5,8 @@
 
 #include "workloads/snort.hh"
 
+#include "workloads/setup_cache.hh"
+
 namespace snic::workloads {
 
 namespace {
@@ -45,9 +47,11 @@ Snort::Snort(alg::regex::RuleSetId ruleset)
 void
 Snort::setup(sim::Random &rng)
 {
-    _profile = std::make_unique<ScanProfile>(
-        _ruleset, std::vector<std::uint32_t>{64, 1024, 1500},
-        /*match_probability=*/0.03, /*samples=*/96, rng);
+    _profile = cachedSetup<ScanProfile>(id(), rng, [this](sim::Random &r) {
+        return ScanProfile(_ruleset, {64, 1024, 1500},
+                           /*match_probability=*/0.03, /*samples=*/96,
+                           r);
+    });
 }
 
 RequestPlan

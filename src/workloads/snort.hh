@@ -24,11 +24,10 @@ class Snort : public Workload
     RequestPlan plan(std::uint32_t request_bytes, hw::Platform platform,
                      sim::Random &rng) override;
 
-    const ScanProfile &profile() const { return *_profile; }
-
   private:
     alg::regex::RuleSetId _ruleset;
-    std::unique_ptr<ScanProfile> _profile;
+    /** Shared across instances (setup_cache.hh). */
+    std::shared_ptr<const ScanProfile> _profile;
 };
 
 } // namespace snic::workloads

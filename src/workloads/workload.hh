@@ -3,12 +3,14 @@
  * Workload framework: the 13 functions of Table 3 as pluggable
  * request planners.
  *
- * A Workload owns real application state (the KVS, the compiled rule
- * set DFA, the BM25 index, ...) built in setup(), and for every
- * request produces a RequestPlan: the CPU-side work, an optional
- * accelerator job, and the response size. The testbed (core/) wires
- * plans through the stack and platform models and measures the
- * resulting throughput and latency.
+ * A Workload holds real application state built in setup(): its own
+ * KVS or BM25 index, or a work profile measured by running the real
+ * kernel (Deflate, DFA scans, crypto) and shared through the setup
+ * cache (setup_cache.hh). For every request it produces a
+ * RequestPlan: the CPU-side work, an optional accelerator job, and
+ * the response size. The testbed (core/) wires plans through the
+ * stack and platform models and measures the resulting throughput
+ * and latency.
  */
 
 #ifndef SNIC_WORKLOADS_WORKLOAD_HH
