@@ -35,6 +35,7 @@
 
 #include <array>
 #include <cctype>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,16 @@ struct SeedGolden
     std::uint64_t p99Ticks;
     double achievedGbps;
 };
+
+/** Prints a cell as "<id> on <platform>". ctest appends this to each
+ *  case name, after "# GetParam() = "; without it gtest prints the
+ *  struct's raw bytes, whose first 8 are the id pointer and move with
+ *  each build's load address. */
+void
+PrintTo(const SeedGolden &g, std::ostream *os)
+{
+    *os << g.id << " on " << hw::platformName(g.platform);
+}
 
 /**
  * Golden table: for every workload x supported platform, Testbed
