@@ -60,7 +60,7 @@ HashTable::maybeResize(WorkCounters &work)
 }
 
 bool
-HashTable::put(std::string_view key, std::vector<std::uint8_t> value,
+HashTable::put(std::string_view key, std::uint32_t value_bytes,
                WorkCounters &work)
 {
     work.arithOps += key.size();  // hashing
@@ -70,19 +70,19 @@ HashTable::put(std::string_view key, std::vector<std::uint8_t> value,
     for (Node *n = _buckets[idx].get(); n; n = n->next.get()) {
         work.randomTouches += 1;
         if (n->key == key) {
-            _memoryBytes -= n->value.size();
-            _memoryBytes += value.size();
-            work.streamBytes += value.size();
-            n->value = std::move(value);
+            _memoryBytes -= n->valueBytes;
+            _memoryBytes += value_bytes;
+            work.streamBytes += value_bytes;
+            n->valueBytes = value_bytes;
             _versions[idx] += 1;
             return false;
         }
     }
     auto node = std::make_unique<Node>();
     node->key.assign(key);
-    work.streamBytes += key.size() + value.size();
-    _memoryBytes += key.size() + value.size();
-    node->value = std::move(value);
+    work.streamBytes += key.size() + value_bytes;
+    _memoryBytes += key.size() + value_bytes;
+    node->valueBytes = value_bytes;
     node->next = std::move(_buckets[idx]);
     _buckets[idx] = std::move(node);
     ++_size;
@@ -91,7 +91,7 @@ HashTable::put(std::string_view key, std::vector<std::uint8_t> value,
     return true;
 }
 
-const std::vector<std::uint8_t> *
+const std::uint32_t *
 HashTable::get(std::string_view key, WorkCounters &work) const
 {
     work.arithOps += key.size();
@@ -104,8 +104,8 @@ HashTable::get(std::string_view key, WorkCounters &work) const
     for (const Node *n = _buckets[idx].get(); n; n = n->next.get()) {
         work.randomTouches += 1;
         if (n->key == key) {
-            work.streamBytes += n->value.size();
-            return &n->value;
+            work.streamBytes += n->valueBytes;
+            return &n->valueBytes;
         }
     }
     return nullptr;
@@ -121,7 +121,7 @@ HashTable::erase(std::string_view key, WorkCounters &work)
     while (*link) {
         work.randomTouches += 1;
         if ((*link)->key == key) {
-            _memoryBytes -= (*link)->key.size() + (*link)->value.size();
+            _memoryBytes -= (*link)->key.size() + (*link)->valueBytes;
             std::unique_ptr<Node> dead = std::move(*link);
             *link = std::move(dead->next);
             --_size;

@@ -7,6 +7,9 @@
  * (dependent load), hashing is arithOps, and value movement is
  * streamBytes; this is what makes KVS service time grow with load
  * factor and value size on both platforms.
+ *
+ * A value is kept as its length only: the work counts above are all
+ * that prices a request, and none of them reads a value byte.
  */
 
 #ifndef SNIC_ALG_KV_HASH_TABLE_HH
@@ -23,7 +26,7 @@
 namespace snic::alg::kv {
 
 /**
- * String-keyed hash table storing byte-vector values.
+ * String-keyed hash table storing value lengths.
  */
 class HashTable
 {
@@ -35,12 +38,12 @@ class HashTable
      *
      * @return true if a new key was inserted, false on replace.
      */
-    bool put(std::string_view key, std::vector<std::uint8_t> value,
+    bool put(std::string_view key, std::uint32_t value_bytes,
              WorkCounters &work);
 
-    /** @return the value, or nullptr when absent. */
-    const std::vector<std::uint8_t> *get(std::string_view key,
-                                         WorkCounters &work) const;
+    /** @return the value's length, or nullptr when absent. */
+    const std::uint32_t *get(std::string_view key,
+                             WorkCounters &work) const;
 
     /** @return true if the key existed. */
     bool erase(std::string_view key, WorkCounters &work);
@@ -55,7 +58,8 @@ class HashTable
                static_cast<double>(_buckets.size());
     }
 
-    /** Total bytes held in keys + values (memory accounting). */
+    /** Bytes of the keys plus the value lengths: the footprint the
+     *  stored values model (memory accounting). */
     std::size_t memoryBytes() const { return _memoryBytes; }
 
     /**
@@ -72,7 +76,7 @@ class HashTable
     struct Node
     {
         std::string key;
-        std::vector<std::uint8_t> value;
+        std::uint32_t valueBytes;
         std::unique_ptr<Node> next;
     };
 

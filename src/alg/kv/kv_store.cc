@@ -21,13 +21,13 @@ KvStore::keyFor(std::uint64_t i)
 OpResult
 KvStore::execute(const Op &op, WorkCounters &work)
 {
-    OpResult result{false, {}};
+    OpResult result{false, 0};
     switch (op.type) {
       case OpType::Get: {
         const auto *v = _table.get(op.key, work);
         if (v) {
             result.hit = true;
-            result.value = *v;
+            result.valueBytes = *v;
             ++_hits;
         } else {
             ++_misses;
@@ -35,7 +35,7 @@ KvStore::execute(const Op &op, WorkCounters &work)
         break;
       }
       case OpType::Put:
-        _table.put(op.key, op.value, work);
+        _table.put(op.key, op.valueBytes, work);
         result.hit = true;
         break;
       case OpType::Delete:
@@ -60,12 +60,11 @@ void
 KvStore::load(std::size_t records, std::size_t value_size,
               sim::Random &rng, WorkCounters &work)
 {
-    for (std::size_t i = 0; i < records; ++i) {
-        std::vector<std::uint8_t> value(value_size);
-        for (auto &b : value)
-            b = static_cast<std::uint8_t>(rng.next());
-        _table.put(keyFor(i), std::move(value), work);
-    }
+    // The generator moves as if each value byte were drawn.
+    rng.discard(records * value_size);
+    for (std::size_t i = 0; i < records; ++i)
+        _table.put(keyFor(i), static_cast<std::uint32_t>(value_size),
+                   work);
 }
 
 } // namespace snic::alg::kv

@@ -31,14 +31,14 @@ struct Op
 {
     OpType type;
     std::string key;
-    std::vector<std::uint8_t> value;  // Put only
+    std::uint32_t valueBytes = 0;  // Put only
 };
 
 /** Result of one operation. */
 struct OpResult
 {
-    bool hit;                               // Get: found; Del: erased
-    std::vector<std::uint8_t> value;        // Get only
+    bool hit;                      // Get: found; Del: erased
+    std::uint32_t valueBytes = 0;  // Get only
 };
 
 /**
@@ -59,7 +59,9 @@ class KvStore
     /**
      * Bulk-load @p records sequential records of @p value_size bytes
      * with keys "user0".."userN-1" (the YCSB load phase; the paper
-     * loads 30 K records of 1 KB each).
+     * loads 30 K records of 1 KB each). The store keeps lengths, not
+     * bytes, yet @p rng leaves where drawing every value byte with
+     * next() would leave it, so every later draw is unchanged.
      */
     void load(std::size_t records, std::size_t value_size,
               sim::Random &rng, WorkCounters &work);

@@ -5,6 +5,7 @@
 
 #include "sim/random.hh"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -29,6 +30,63 @@ std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** A polynomial over GF(2) of degree < 256; bit i of word i / 64
+ *  holds the coefficient of x^i. */
+using Poly = std::array<std::uint64_t, 4>;
+
+/** The characteristic polynomial P of the xoshiro256 state
+ *  transition T, less its leading x^256 term: T^256 is the sum of the
+ *  T^i whose bits are set here. */
+constexpr Poly kCharPoly{0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+                         0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
+
+bool
+coefficient(const Poly &p, int i)
+{
+    return (p[i / 64] >> (i % 64)) & 1;
+}
+
+/** x * p mod P. */
+Poly
+timesX(Poly p)
+{
+    const bool carry = p[3] >> 63;
+    for (int w = 3; w > 0; --w)
+        p[w] = (p[w] << 1) | (p[w - 1] >> 63);
+    p[0] <<= 1;
+    if (carry)
+        for (int w = 0; w < 4; ++w)
+            p[w] ^= kCharPoly[w];
+    return p;
+}
+
+/** a * b mod P, by Horner's rule over b's coefficients. */
+Poly
+mulMod(const Poly &a, const Poly &b)
+{
+    Poly r{};
+    for (int i = 255; i >= 0; --i) {
+        r = timesX(r);
+        if (coefficient(b, i))
+            for (int w = 0; w < 4; ++w)
+                r[w] ^= a[w];
+    }
+    return r;
+}
+
+/** x^n mod P by square-and-multiply. */
+Poly
+xPowMod(std::uint64_t n)
+{
+    Poly r{1, 0, 0, 0};
+    for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
+        r = mulMod(r, r);
+        if ((n >> bit) & 1)
+            r = timesX(r);
+    }
+    return r;
 }
 
 /** Generalized harmonic number sum_{i=1..n} 1/i^theta. */
@@ -62,6 +120,24 @@ Random::next()
     _s[2] ^= t;
     _s[3] = rotl(_s[3], 45);
     return result;
+}
+
+void
+Random::discard(std::uint64_t n)
+{
+    // T is linear over GF(2) and P(T) = 0, so T^n = r(T) with
+    // r = x^n mod P: sum the states T^i s whose coefficient r_i is set
+    // (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random
+    // Number Generators", 2008).
+    const Poly r = xPowMod(n);
+    std::array<std::uint64_t, 4> sum{};
+    for (int i = 0; i < 256; ++i) {
+        if (coefficient(r, i))
+            for (int w = 0; w < 4; ++w)
+                sum[w] ^= _s[w];
+        next();
+    }
+    _s = sum;
 }
 
 double

@@ -29,6 +29,14 @@ class Random
     /** Next raw 64-bit value. */
     std::uint64_t next();
 
+    /**
+     * Leave the generator exactly where @p n calls to next() would,
+     * in O(log n): x^n modulo the characteristic polynomial, applied
+     * with 256 steps as the reference xoshiro jump() does. The
+     * Box-Muller spare is kept, as next() keeps it.
+     */
+    void discard(std::uint64_t n);
+
     /** Uniform double in [0, 1). */
     double uniform();
 

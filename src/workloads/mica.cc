@@ -61,7 +61,7 @@ Mica::plan(std::uint32_t request_bytes, hw::Platform platform,
     }
     const auto results = _store->executeBatch(ops, p.cpuWork);
     for (const auto &r : results)
-        response += static_cast<std::uint32_t>(r.value.size() + 8);
+        response += r.valueBytes + 8;
 
     // Kernel-bypass runtime: one dispatch per *batch*, not per op
     // (executeBatch counted one per op for the generic store API).

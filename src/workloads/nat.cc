@@ -5,6 +5,8 @@
 
 #include "workloads/nat.hh"
 
+#include "workloads/setup_cache.hh"
+
 namespace snic::workloads {
 
 namespace {
@@ -31,11 +33,15 @@ Nat::Nat(std::size_t entries)
 void
 Nat::setup(sim::Random &rng)
 {
-    // Bucket count chosen so the 1 M table has long chains relative
-    // to the 10 K one (the KO4 input sensitivity).
-    _table = std::make_unique<alg::nat::NatTable>(65536);
-    alg::WorkCounters populate_work;
-    _internals = _table->populate(_entries, rng, populate_work);
+    _flows = cachedSetup<Flows>(id(), rng, [this](sim::Random &r) {
+        // Bucket count chosen so the 1 M table has long chains
+        // relative to the 10 K one (the KO4 input sensitivity).
+        Flows flows{alg::nat::NatTable(65536), {}};
+        alg::WorkCounters populate_work;
+        flows.internals =
+            flows.table.populate(_entries, r, populate_work);
+        return flows;
+    });
 }
 
 RequestPlan
@@ -49,14 +55,14 @@ Nat::plan(std::uint32_t request_bytes, hw::Platform platform,
     const bool known = rng.chance(0.98);
     alg::nat::Endpoint src;
     if (known) {
-        src = _internals[static_cast<std::size_t>(
-            rng.uniformInt(0, _internals.size() - 1))];
+        src = _flows->internals[static_cast<std::size_t>(
+            rng.uniformInt(0, _flows->internals.size() - 1))];
     } else {
         src = alg::nat::Endpoint{
             static_cast<std::uint32_t>(rng.next()),
             static_cast<std::uint16_t>(rng.uniformInt(1, 65535))};
     }
-    const auto mapped = _table->translateOut(src, p.cpuWork);
+    const auto mapped = _flows->table.translateOut(src, p.cpuWork);
     if (mapped) {
         // Header rewrite + RFC 1624 checksum fix for IP and UDP.
         alg::nat::NatTable::adjustChecksum(0xbeef, src.ip, mapped->ip,

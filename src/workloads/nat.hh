@@ -28,9 +28,17 @@ class Nat : public Workload
     std::size_t entries() const { return _entries; }
 
   private:
+    /** The populated table and its internal endpoints; plan() only
+     *  reads them, so every instance set up with the same id and RNG
+     *  state shares one (setup_cache.hh). */
+    struct Flows
+    {
+        alg::nat::NatTable table;
+        std::vector<alg::nat::Endpoint> internals;
+    };
+
     std::size_t _entries;
-    std::unique_ptr<alg::nat::NatTable> _table;
-    std::vector<alg::nat::Endpoint> _internals;
+    std::shared_ptr<const Flows> _flows;
 };
 
 } // namespace snic::workloads

@@ -89,8 +89,11 @@ Redis::plan(std::uint32_t request_bytes, hw::Platform platform,
         op.type = alg::kv::OpType::Get;
     } else {
         op.type = alg::kv::OpType::Put;
-        op.value.assign(valueBytes,
-                        static_cast<std::uint8_t>(rng.next()));
+        op.valueBytes = valueBytes;
+        // A YCSB update writes one repeated fill byte. Only the
+        // value's length prices the write, but the byte is still
+        // drawn, so the draws after it match a store that keeps bytes.
+        rng.next();
     }
 
     const auto result = _store->execute(op, p.cpuWork);
@@ -98,8 +101,7 @@ Redis::plan(std::uint32_t request_bytes, hw::Platform platform,
     p.cpuWork.branchyOps += 120;
     p.cpuWork.arithOps += 60;
     p.responseBytes = op.type == alg::kv::OpType::Get && result.hit
-                          ? static_cast<std::uint32_t>(
-                                result.value.size() + 16)
+                          ? result.valueBytes + 16
                           : 16;
     return p;
 }

@@ -34,8 +34,6 @@ class Redis : public Workload
     static constexpr std::size_t records = 30000;
     static constexpr std::size_t valueBytes = 1024;
 
-    const alg::kv::KvStore &store() const { return *_store; }
-
   private:
     YcsbMix _mix;
     double _readFraction;

@@ -4,9 +4,10 @@
  * request planners.
  *
  * A Workload holds real application state built in setup(): its own
- * KVS or BM25 index, or a work profile measured by running the real
- * kernel (Deflate, DFA scans, crypto) and shared through the setup
- * cache (setup_cache.hh). For every request it produces a
+ * KV store (keys and value lengths) or BM25 index, or a read-only
+ * product shared through the setup cache (setup_cache.hh): a NAT
+ * table, or a work profile measured by running the real kernel
+ * (Deflate, DFA scans, crypto). For every request it produces a
  * RequestPlan: the CPU-side work, an optional accelerator job, and
  * the response size. The testbed (core/) wires plans through the
  * stack and platform models and measures the resulting throughput

@@ -4,8 +4,9 @@
  * (workloads/setup_cache.hh): a second setup from the same RNG state
  * is a hit that leaves the generator where the build left it and
  * plans exactly like the built instance; any other entry state builds
- * anew; concurrent setups of one key share a single build; and
- * functionProfile is cached on its own arguments.
+ * anew; concurrent setups of one key share a single build; NAT's
+ * translation table is shared the same way; and functionProfile is
+ * cached on its own arguments.
  */
 
 #include <gtest/gtest.h>
@@ -72,6 +73,33 @@ expectSamePlans(Workload &a, sim::Random ra, Workload &b, sim::Random rb,
     }
 }
 
+/** A second setup of @p id from the generator state of the first is
+ *  a cache hit that leaves the generator where the build left it and
+ *  plans exactly like the built instance. */
+void
+expectSecondSetupIsAHit(const std::string &id)
+{
+    SCOPED_TRACE(id);
+    const std::uint64_t builds0 = setupCacheBuilds();
+    sim::Random first(9001);
+    WorkloadPtr built = makeWorkload(id);
+    built->setup(first);
+    EXPECT_EQ(setupCacheBuilds(), builds0 + 1);
+
+    sim::Random second(9001);
+    WorkloadPtr hit = makeWorkload(id);
+    hit->setup(second);
+    EXPECT_EQ(setupCacheBuilds(), builds0 + 1);
+    EXPECT_EQ(second.state(), first.state());
+
+    for (const hw::Platform platform :
+         {hw::Platform::HostCpu, hw::Platform::SnicCpu,
+          hw::Platform::SnicAccel}) {
+        if (built->supports(platform))
+            expectSamePlans(*built, first, *hit, second, platform, 1000);
+    }
+}
+
 void
 expectSameProfile(const FunctionProfile &a, const FunctionProfile &b)
 {
@@ -90,28 +118,16 @@ TEST(DatasetCache, SecondSetupFromSameStateIsAHit)
 {
     const auto ids = cachedIds();
     ASSERT_EQ(ids.size(), 16u);
-    for (const auto &id : ids) {
-        SCOPED_TRACE(id);
-        const std::uint64_t builds0 = setupCacheBuilds();
-        sim::Random first(9001);
-        WorkloadPtr built = makeWorkload(id);
-        built->setup(first);
-        EXPECT_EQ(setupCacheBuilds(), builds0 + 1);
+    for (const auto &id : ids)
+        expectSecondSetupIsAHit(id);
+}
 
-        sim::Random second(9001);
-        WorkloadPtr hit = makeWorkload(id);
-        hit->setup(second);
-        EXPECT_EQ(setupCacheBuilds(), builds0 + 1);
-        EXPECT_EQ(second.state(), first.state());
-
-        for (const hw::Platform platform :
-             {hw::Platform::HostCpu, hw::Platform::SnicCpu,
-              hw::Platform::SnicAccel}) {
-            if (built->supports(platform))
-                expectSamePlans(*built, first, *hit, second, platform,
-                                1000);
-        }
-    }
+TEST(DatasetCache, NatTableIsSharedLikeAProfile)
+{
+    // plan() only reads the translation table, so the host and SNIC
+    // cells of one NAT configuration share a single build.
+    for (const char *id : {"nat_10k", "nat_1m"})
+        expectSecondSetupIsAHit(id);
 }
 
 TEST(DatasetCache, DifferentEntryStateBuildsANewEntry)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "alg/kv/hash_table.hh"
 #include "alg/kv/kv_store.hh"
@@ -17,10 +18,11 @@ using snic::sim::Random;
 
 namespace {
 
-std::vector<std::uint8_t>
+/** The store keeps a value's length only. */
+std::uint32_t
 val(const std::string &s)
 {
-    return std::vector<std::uint8_t>(s.begin(), s.end());
+    return static_cast<std::uint32_t>(s.size());
 }
 
 } // anonymous namespace
@@ -31,9 +33,9 @@ TEST(HashTable, PutGetErase)
     WorkCounters work;
     EXPECT_TRUE(t.put("alpha", val("1"), work));
     EXPECT_TRUE(t.put("beta", val("2"), work));
-    EXPECT_FALSE(t.put("alpha", val("3"), work));  // replace
+    EXPECT_FALSE(t.put("alpha", val("333"), work));  // replace
     ASSERT_NE(t.get("alpha", work), nullptr);
-    EXPECT_EQ(*t.get("alpha", work), val("3"));
+    EXPECT_EQ(*t.get("alpha", work), val("333"));
     EXPECT_EQ(t.get("missing", work), nullptr);
     EXPECT_TRUE(t.erase("alpha", work));
     EXPECT_FALSE(t.erase("alpha", work));
@@ -118,7 +120,7 @@ TEST(KvStore, ExecuteOps)
     EXPECT_TRUE(r1.hit);
     auto r2 = store.execute(Op{OpType::Get, "user1", {}}, work);
     EXPECT_TRUE(r2.hit);
-    EXPECT_EQ(r2.value, val("hello"));
+    EXPECT_EQ(r2.valueBytes, val("hello"));
     auto r3 = store.execute(Op{OpType::Get, "user2", {}}, work);
     EXPECT_FALSE(r3.hit);
     auto r4 = store.execute(Op{OpType::Delete, "user1", {}}, work);
@@ -133,14 +135,14 @@ TEST(KvStore, BatchPreservesOrder)
     WorkCounters work;
     std::vector<Op> ops{
         {OpType::Put, "a", val("1")},
-        {OpType::Put, "b", val("2")},
+        {OpType::Put, "b", val("22")},
         {OpType::Get, "a", {}},
         {OpType::Get, "zz", {}},
     };
     auto results = store.executeBatch(ops, work);
     ASSERT_EQ(results.size(), 4u);
     EXPECT_TRUE(results[2].hit);
-    EXPECT_EQ(results[2].value, val("1"));
+    EXPECT_EQ(results[2].valueBytes, val("1"));
     EXPECT_FALSE(results[3].hit);
     EXPECT_EQ(work.messages, 4u);
 }
@@ -159,4 +161,21 @@ TEST(KvStore, LoadMatchesPaperScale)
                             w)
                   .hit,
               false);
+}
+
+TEST(KvStore, LoadAdvancesGeneratorLikeByteDraws)
+{
+    // The store keeps lengths, yet the load leaves the generator
+    // where drawing every value byte would: one next() per byte.
+    for (const auto &[records, value_bytes] :
+         {std::pair<std::size_t, std::size_t>{30000, 1024}, {16384, 64}}) {
+        KvStore store;
+        WorkCounters work;
+        Random rng(5), twin(5);
+        store.load(records, value_bytes, rng, work);
+        for (std::size_t i = 0; i < records * value_bytes; ++i)
+            twin.next();
+        EXPECT_EQ(rng.state(), twin.state()) << records;
+        EXPECT_EQ(rng.next(), twin.next()) << records;
+    }
 }

@@ -117,6 +117,29 @@ TEST(Random, DiscretePicksByWeight)
     EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.75, 0.02);
 }
 
+TEST(Random, DiscardMatchesRepeatedNext)
+{
+    // Below n = 256, x^n mod the characteristic polynomial is x^n
+    // itself: only the larger n can catch a wrong polynomial.
+    const std::uint64_t counts[] = {0,     1,       2,         255,
+                                    256,   257,     4096,      65537,
+                                    1'000'003,      30000 * 1024};
+    for (std::uint64_t seed : {1, 7, 42}) {
+        for (std::uint64_t n : counts) {
+            Random jumped(seed), stepped(seed);
+            // A pending Box-Muller spare survives the jump.
+            jumped.normal(0.0, 1.0);
+            stepped.normal(0.0, 1.0);
+            jumped.discard(n);
+            for (std::uint64_t i = 0; i < n; ++i)
+                stepped.next();
+            ASSERT_EQ(jumped.state(), stepped.state())
+                << "seed " << seed << ", n " << n;
+            EXPECT_TRUE(jumped.state().haveSpare);
+        }
+    }
+}
+
 TEST(ZipfSampler, SamplesWithinPopulation)
 {
     Random rng(29);
