@@ -21,6 +21,7 @@
 #include "core/tco.hh"
 #include "core/throughput_search.hh"
 #include "hw/specs.hh"
+#include "sim/logging.hh"
 
 namespace snic::core {
 
@@ -191,6 +192,15 @@ constexpr double kLocationWeight = 0.25;
 constexpr double kBandwidthWeight = 0.45;
 constexpr double kResourceWeight = 0.30;
 
+// Key-rank cap on DES eligibility: only the best kMaxDesCandidates
+// placements by heuristic key may spend DES budget (pruning — the key
+// is cheap, the simulation is not).
+constexpr std::size_t kMaxDesCandidates = 32;
+
+// Location-key cost of one cross-member hop, in PCIe-crossing
+// equivalents (a ToR round trip dwarfs a PCIe DMA).
+constexpr double kMemberHopWeight = 2.0;
+
 /** Resolve the hw::Placement vector for a candidate. */
 std::vector<hw::Placement>
 resolvePlacements(const std::vector<workloads::FunctionProfile> &profiles,
@@ -210,67 +220,31 @@ analyticRps(double bandwidth_key)
     return bandwidth_key > 0.0 ? 1.0 / bandwidth_key : 1e18;
 }
 
+/** Fatal on options no search can honour, naming the field. */
+void
+checkOptions(const RackChainAdvisorOptions &opts)
+{
+    if (opts.maxMembers == 0)
+        sim::fatal("chain advisor: maxMembers is 0, need at least 1");
+    if (opts.desBudget < 1)
+        sim::fatal("chain advisor: desBudget %d, need at least 1",
+                   opts.desBudget);
+    if (!(opts.loadFactor > 0.0 && opts.loadFactor <= 1.0))
+        sim::fatal("chain advisor: loadFactor %g outside (0, 1]",
+                   opts.loadFactor);
+    if (!(opts.demandGbps > 0.0))
+        sim::fatal("chain advisor: demandGbps %g, need more than 0",
+                   opts.demandGbps);
+}
+
 } // anonymous namespace
 
 PlacementKey
 placementKey(const std::vector<workloads::FunctionProfile> &profiles,
              const std::vector<hw::Platform> &where)
 {
-    PlacementKey key;
-    const auto placements = resolvePlacements(profiles, where);
-
-    // Location: PCIe crossings between consecutive functions.
-    key.location = pcieCrossings(placements);
-
-    // Per-request demand on every resource, in ns.
-    double host_ns = 0.0, snic_ns = 0.0;
-    double engine_ns[3] = {0.0, 0.0, 0.0};
-    double crossing_bytes = 0.0;
-    double in_bytes = profiles.empty()
-                          ? 0.0
-                          : profiles.front().meanRequestBytes;
-    for (std::size_t k = 0; k < profiles.size(); ++k) {
-        const workloads::FunctionProfile &p = profiles[k];
-        switch (where[k]) {
-          case hw::Platform::HostCpu:
-            host_ns += p.hostCpuNs;
-            break;
-          case hw::Platform::SnicCpu:
-            snic_ns += p.snicCpuNs;
-            break;
-          case hw::Platform::SnicAccel:
-            snic_ns += p.accelStagingNs;
-            engine_ns[static_cast<int>(p.accel)] += p.engineNs;
-            break;
-        }
-        if (k > 0 && hw::crossesPcie(placements[k - 1], placements[k]))
-            crossing_bytes += in_bytes;
-        if (p.meanResponseBytes > 0.0)
-            in_bytes = p.meanResponseBytes;
-    }
-
-    // Bandwidth: utilization the request inflicts on its most loaded
-    // resource — the inverse of the placement's analytic capacity.
-    double bw = host_ns / 1e9 / hw::specs::hostCoresUsed;
-    bw = std::max(bw, snic_ns / 1e9 / hw::specs::snicCores);
-    for (int e = 0; e < 3; ++e) {
-        if (engine_ns[e] > 0.0) {
-            const unsigned lanes =
-                engineLanes(static_cast<hw::AccelKind>(e));
-            bw = std::max(bw, engine_ns[e] / 1e9 / lanes);
-        }
-    }
-    if (crossing_bytes > 0.0)
-        bw = std::max(bw, crossing_bytes / (hw::specs::pcieGBps * 1e9));
-    key.bandwidth = bw;
-
-    // Resource: cost-weighted time consumed, in CPU-equivalent us.
-    key.resource = (kHostCostWeight * host_ns +
-                    kSnicCostWeight * snic_ns +
-                    kEngineCostWeight *
-                        (engine_ns[0] + engine_ns[1] + engine_ns[2])) /
-                   1e3;
-    return key;
+    return rackPlacementKey(profiles, where,
+                            std::vector<unsigned>(where.size(), 0));
 }
 
 ChainAdvice
@@ -278,235 +252,30 @@ adviseChainPlacement(const std::vector<std::string> &function_ids,
                      const SloConstraint &slo,
                      const ChainAdvisorOptions &opts)
 {
+    RackChainAdvice rack = adviseRackChainPlacement(
+        function_ids, slo, RackChainAdvisorOptions{opts, 1});
     ChainAdvice advice;
-    advice.functions = function_ids;
-    if (function_ids.empty()) {
-        advice.rationale = "empty chain";
-        return advice;
-    }
-
-    // Profile every function once (the metadata the whole search
-    // runs on).
-    std::vector<workloads::FunctionProfile> profiles;
-    profiles.reserve(function_ids.size());
-    for (const std::string &id : function_ids)
-        profiles.push_back(workloads::functionProfile(id, opts.seed));
-
-    // Enumerate every Table 3-valid placement vector.
-    std::vector<std::vector<hw::Platform>> options;
-    for (const workloads::FunctionProfile &p : profiles) {
-        std::vector<hw::Platform> o;
-        if (p.supportsHost)
-            o.push_back(hw::Platform::HostCpu);
-        if (p.supportsSnicCpu)
-            o.push_back(hw::Platform::SnicCpu);
-        if (p.supportsAccel)
-            o.push_back(hw::Platform::SnicAccel);
-        if (o.empty()) {
-            advice.rationale =
-                "function " + p.id + " runs on no platform";
-            return advice;
-        }
-        options.push_back(std::move(o));
-    }
-    std::vector<std::size_t> idx(function_ids.size(), 0);
-    for (;;) {
+    advice.functions = std::move(rack.functions);
+    advice.heuristicPick = rack.heuristicPick;
+    advice.desPick = rack.desPick;
+    advice.sloFeasible = rack.sloFeasible;
+    advice.rationale = std::move(rack.rationale);
+    advice.candidates.reserve(rack.candidates.size());
+    for (RackChainPlacementCandidate &r : rack.candidates) {
         ChainPlacementCandidate c;
-        c.where.reserve(function_ids.size());
-        for (std::size_t k = 0; k < idx.size(); ++k)
-            c.where.push_back(options[k][idx[k]]);
-        c.key = placementKey(profiles, c.where);
-        c.analyticGbps = analyticRps(c.key.bandwidth) *
-                         profiles.front().meanRequestBytes * 8.0 / 1e9;
+        c.where = std::move(r.where);
+        c.key = r.key;
+        c.analyticGbps = r.analyticGbps;
+        c.evaluated = r.evaluated;
+        c.capacityGbps = r.capacityGbps;
+        c.capacityRps = r.capacityRps;
+        c.p99Us = r.p99Us;
+        c.serverWatts = r.rackWatts;
+        c.serversForDemand = r.serversForDemand;
+        c.tco5yrUsd = r.tco5yrUsd;
+        c.meetsSlo = r.meetsSlo;
         advice.candidates.push_back(std::move(c));
-        std::size_t k = 0;
-        while (k < idx.size() && ++idx[k] == options[k].size()) {
-            idx[k] = 0;
-            ++k;
-        }
-        if (k == idx.size())
-            break;
     }
-
-    // Min-max normalize the key components across the candidate set,
-    // combine, and sort (heuristic's ranking; ties broken by the
-    // placement vector for determinism).
-    auto norm = [&](auto get) {
-        double lo = 1e300, hi = -1e300;
-        for (const auto &c : advice.candidates) {
-            lo = std::min(lo, get(c.key));
-            hi = std::max(hi, get(c.key));
-        }
-        const double span = hi - lo;
-        return [lo, span, get](const PlacementKey &k) {
-            return span > 0.0 ? (get(k) - lo) / span : 0.0;
-        };
-    };
-    auto nloc = norm([](const PlacementKey &k) { return k.location; });
-    auto nbw = norm([](const PlacementKey &k) { return k.bandwidth; });
-    auto nres = norm([](const PlacementKey &k) { return k.resource; });
-    for (auto &c : advice.candidates) {
-        c.key.combined = kLocationWeight * nloc(c.key) +
-                         kBandwidthWeight * nbw(c.key) +
-                         kResourceWeight * nres(c.key);
-    }
-    std::sort(advice.candidates.begin(), advice.candidates.end(),
-              [](const ChainPlacementCandidate &a,
-                 const ChainPlacementCandidate &b) {
-                  if (a.key.combined != b.key.combined)
-                      return a.key.combined < b.key.combined;
-                  return a.where < b.where;
-              });
-
-    // The Meili-style baseline pick: best combined key among
-    // candidates whose *analytic* throughput clears the SLO — the
-    // heuristic never sees latency.
-    advice.heuristicPick = 0;
-    for (std::size_t i = 0; i < advice.candidates.size(); ++i) {
-        if (slo.minGbps <= 0.0 ||
-            advice.candidates[i].analyticGbps >= slo.minGbps) {
-            advice.heuristicPick = static_cast<int>(i);
-            break;
-        }
-    }
-
-    // DES-backed evaluation: spend the budget on the heuristic's
-    // best candidates, always including the all-host and (when
-    // valid) all-SNIC-CPU fallbacks — the safe corners a key-driven
-    // ranking tends to starve.
-    std::vector<std::size_t> eval_order;
-    auto enqueue = [&](std::size_t i) {
-        if (std::find(eval_order.begin(), eval_order.end(), i) ==
-            eval_order.end()) {
-            eval_order.push_back(i);
-        }
-    };
-    auto enqueue_uniform = [&](hw::Platform p) {
-        for (std::size_t i = 0; i < advice.candidates.size(); ++i) {
-            const auto &w = advice.candidates[i].where;
-            if (std::all_of(w.begin(), w.end(),
-                            [p](hw::Platform x) { return x == p; })) {
-                enqueue(i);
-                return;
-            }
-        }
-    };
-    enqueue(static_cast<std::size_t>(advice.heuristicPick));
-    enqueue_uniform(hw::Platform::HostCpu);
-    enqueue_uniform(hw::Platform::SnicCpu);
-    for (std::size_t i = 0; i < advice.candidates.size() &&
-                            eval_order.size() <
-                                static_cast<std::size_t>(std::max(
-                                    opts.desBudget, 1));
-         ++i) {
-        enqueue(i);
-    }
-
-    ExperimentOptions eo;
-    eo.seed = opts.seed;
-    eo.loadFactor = opts.loadFactor;
-    eo.targetSamples = opts.targetSamples;
-    eo.warmup = sim::msToTicks(1.0);
-    eo.minWindow = sim::msToTicks(2.0);
-
-    for (std::size_t i : eval_order) {
-        ChainPlacementCandidate &c = advice.candidates[i];
-        ChainSpec chain;
-        for (std::size_t k = 0; k < function_ids.size(); ++k)
-            chain.then(function_ids[k], c.where[k]);
-        TestbedConfig cfg;
-        cfg.chain = chain;
-        cfg.seed = opts.seed;
-        Testbed bed(cfg);
-
-        const Capacity cap = findCapacity(bed, eo);
-        c.evaluated = true;
-        c.capacityGbps = cap.requestGbps;
-        c.capacityRps = cap.rps;
-
-        const double rate = cap.requestGbps * opts.loadFactor;
-        const Measurement m = bed.measure(
-            rate, eo.warmup, windowFor(cap.rps * opts.loadFactor, eo));
-        c.p99Us = m.p99Us();
-        c.serverWatts = m.energy.avgServerWatts;
-
-        const double per_server = cap.requestGbps * opts.loadFactor;
-        c.serversForDemand =
-            per_server > 0.0
-                ? static_cast<unsigned>(
-                      std::ceil(opts.demandGbps / per_server))
-                : 0;
-        const bool with_snic = std::any_of(
-            c.where.begin(), c.where.end(), [](hw::Platform p) {
-                return p != hw::Platform::HostCpu;
-            });
-        c.tco5yrUsd =
-            static_cast<double>(c.serversForDemand) *
-            computeColumn(1, c.serverWatts, with_snic).fiveYearTcoUsd;
-        c.meetsSlo =
-            (slo.p99UsMax <= 0.0 || c.p99Us <= slo.p99UsMax) &&
-            (slo.minGbps <= 0.0 || per_server >= slo.minGbps);
-    }
-
-    // DES pick: the SLO-meeting evaluated candidate with the lowest
-    // fleet TCO; fall back to the lowest measured p99.
-    int best = -1;
-    for (std::size_t i = 0; i < advice.candidates.size(); ++i) {
-        const ChainPlacementCandidate &c = advice.candidates[i];
-        if (!c.evaluated)
-            continue;
-        if (best < 0) {
-            best = static_cast<int>(i);
-            continue;
-        }
-        const ChainPlacementCandidate &b =
-            advice.candidates[static_cast<std::size_t>(best)];
-        if (c.meetsSlo != b.meetsSlo) {
-            if (c.meetsSlo)
-                best = static_cast<int>(i);
-            continue;
-        }
-        if (c.meetsSlo ? c.tco5yrUsd < b.tco5yrUsd
-                       : c.p99Us < b.p99Us) {
-            best = static_cast<int>(i);
-        }
-    }
-    advice.desPick = best;
-    advice.sloFeasible =
-        best >= 0 &&
-        advice.candidates[static_cast<std::size_t>(best)].meetsSlo;
-
-    std::ostringstream why;
-    auto describe = [&](int i) -> std::string {
-        if (i < 0)
-            return "(none)";
-        std::ostringstream s;
-        const auto &w =
-            advice.candidates[static_cast<std::size_t>(i)].where;
-        for (std::size_t k = 0; k < w.size(); ++k)
-            s << (k ? "+" : "") << hw::platformName(w[k]);
-        return s.str();
-    };
-    if (advice.sloFeasible) {
-        why << "DES-backed pick " << describe(advice.desPick)
-            << " meets the SLO";
-        const auto &h = advice.candidates[static_cast<std::size_t>(
-            advice.heuristicPick)];
-        if (!h.evaluated || !h.meetsSlo) {
-            why << "; the heuristic baseline "
-                << describe(advice.heuristicPick)
-                << " does not";
-        } else if (advice.desPick != advice.heuristicPick) {
-            why << " at lower TCO than the heuristic baseline "
-                << describe(advice.heuristicPick);
-        } else {
-            why << " (agrees with the heuristic baseline)";
-        }
-    } else {
-        why << "no evaluated placement meets the SLO; lowest-p99 "
-            << "fallback: " << describe(advice.desPick);
-    }
-    advice.rationale = why.str();
     return advice;
 }
 
@@ -515,8 +284,7 @@ adviseChainPlacement(const std::vector<std::string> &function_ids,
 PlacementKey
 rackPlacementKey(const std::vector<workloads::FunctionProfile> &profiles,
                  const std::vector<hw::Platform> &where,
-                 const std::vector<unsigned> &member,
-                 double member_hop_weight)
+                 const std::vector<unsigned> &member)
 {
     PlacementKey key;
     const auto placements = resolvePlacements(profiles, where);
@@ -570,8 +338,7 @@ rackPlacementKey(const std::vector<workloads::FunctionProfile> &profiles,
             in_bytes = p.meanResponseBytes;
     }
 
-    key.location =
-        pcie_crossings + member_hop_weight * member_hops;
+    key.location = pcie_crossings + kMemberHopWeight * member_hops;
 
     double bw = 0.0;
     for (unsigned m = 0; m < members; ++m) {
@@ -614,19 +381,22 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
                          const SloConstraint &slo,
                          const RackChainAdvisorOptions &opts)
 {
+    checkOptions(opts);
     RackChainAdvice advice;
     advice.functions = function_ids;
     if (function_ids.empty()) {
         advice.rationale = "empty chain";
         return advice;
     }
-    const unsigned max_members = std::max(opts.maxMembers, 1u);
 
+    // Profile every function once (the metadata the whole search
+    // runs on).
     std::vector<workloads::FunctionProfile> profiles;
     profiles.reserve(function_ids.size());
     for (const std::string &id : function_ids)
         profiles.push_back(workloads::functionProfile(id, opts.seed));
 
+    // Every Table 3-valid platform per function.
     std::vector<std::vector<hw::Platform>> options;
     for (const workloads::FunctionProfile &p : profiles) {
         std::vector<hw::Platform> o;
@@ -643,6 +413,15 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
         }
         options.push_back(std::move(o));
     }
+
+    // A rack dispatches packets; it cannot hand a locally generated
+    // job to another member. A chain that starts with such a function
+    // stays on member 0.
+    const unsigned max_members =
+        profiles.front().drive == workloads::Drive::Network
+            ? opts.maxMembers
+            : 1;
+    const bool may_span = max_members > 1;
 
     // Member vectors in restricted-growth form: member 0 first, and
     // a stage may only open member j when members 0..j-1 are already
@@ -663,12 +442,7 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
             self(self, k + 1, std::max(used, m + 1));
         }
     };
-    mv[0] = 0;
-    if (mv.size() == 1) {
-        member_vectors.push_back(mv);
-    } else {
-        grow(grow, 1, 1);
-    }
+    grow(grow, 1, 1);
 
     // Full enumeration: platforms x member vectors.
     for (const std::vector<unsigned> &members : member_vectors) {
@@ -682,8 +456,7 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
             c.membersUsed = *std::max_element(members.begin(),
                                               members.end()) +
                             1;
-            c.key = rackPlacementKey(profiles, c.where, c.member,
-                                     opts.memberHopWeight);
+            c.key = rackPlacementKey(profiles, c.where, c.member);
             c.analyticGbps =
                 analyticRps(c.key.bandwidth) *
                 profiles.front().meanRequestBytes * 8.0 / 1e9;
@@ -699,8 +472,9 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
     }
     advice.enumerated = advice.candidates.size();
 
-    // Normalize, combine, and rank exactly like the per-server
-    // advisor (ties broken by placement then member vector).
+    // Min-max normalize the key components across the candidate set,
+    // combine, and sort (heuristic's ranking; ties broken by the
+    // placement vector, then the member vector, for determinism).
     auto norm = [&](auto get) {
         double lo = 1e300, hi = -1e300;
         for (const auto &c : advice.candidates) {
@@ -730,10 +504,12 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
                   return a.member < b.member;
               });
 
-    advice.desEligible = std::min(
-        advice.candidates.size(),
-        static_cast<std::size_t>(std::max(opts.maxCandidates, 1)));
+    advice.desEligible =
+        std::min(advice.candidates.size(), kMaxDesCandidates);
 
+    // The Meili-style baseline pick: best combined key among
+    // candidates whose *analytic* throughput clears the SLO — the
+    // heuristic never sees latency.
     advice.heuristicPick = 0;
     for (std::size_t i = 0; i < advice.candidates.size(); ++i) {
         if (slo.minGbps <= 0.0 ||
@@ -744,7 +520,8 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
     }
 
     // DES order: the heuristic pick, the single-member all-host and
-    // all-SNIC-CPU anchors, then the key ranking — but only
+    // all-SNIC-CPU anchors (the safe corners a key-driven ranking
+    // tends to starve), then the key ranking — but only
     // key-rank-eligible candidates may spend budget (the prune).
     std::vector<std::size_t> eval_order;
     auto enqueue = [&](std::size_t i) {
@@ -770,10 +547,9 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
     enqueue(static_cast<std::size_t>(advice.heuristicPick));
     enqueue_uniform(hw::Platform::HostCpu);
     enqueue_uniform(hw::Platform::SnicCpu);
-    for (std::size_t i = 0; i < advice.desEligible &&
-                            eval_order.size() <
-                                static_cast<std::size_t>(std::max(
-                                    opts.desBudget, 1));
+    for (std::size_t i = 0;
+         i < advice.desEligible &&
+         eval_order.size() < static_cast<std::size_t>(opts.desBudget);
          ++i) {
         enqueue(i);
     }
@@ -787,31 +563,51 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
 
     for (std::size_t i : eval_order) {
         RackChainPlacementCandidate &c = advice.candidates[i];
-        RackConfig cfg;
+        ChainSpec chain;
         for (std::size_t k = 0; k < function_ids.size(); ++k)
-            cfg.chain.then(function_ids[k], c.where[k], c.member[k]);
-        cfg.servers = c.membersUsed;
-        cfg.policy = c.membersUsed == 1
-                         ? net::DispatchPolicy::PassThrough
-                         : net::DispatchPolicy::RoundRobin;
-        cfg.seed = opts.seed;
-        Rack rack(cfg);
+            chain.then(function_ids[k], c.where[k], c.member[k]);
 
-        const Capacity cap = findCapacity(rack, eo);
-        c.evaluated = true;
-        c.capacityGbps = cap.requestGbps;
-        c.capacityRps = cap.rps;
-
-        const double rate = cap.requestGbps * opts.loadFactor;
-        const RackMeasurement rm = rack.measure(
-            rate, eo.warmup, windowFor(cap.rps * opts.loadFactor, eo));
-        c.p99Us = rm.aggregate.p99Us();
-        c.rackWatts = rm.aggregate.energy.avgServerWatts;
+        // Capacity search, then one window at the operating point.
+        const auto run = [&](auto &system) {
+            const Capacity cap = findCapacity(system, eo);
+            c.evaluated = true;
+            c.capacityGbps = cap.requestGbps;
+            c.capacityRps = cap.rps;
+            return system.measure(
+                cap.requestGbps * opts.loadFactor, eo.warmup,
+                windowFor(cap.rps * opts.loadFactor, eo));
+        };
+        std::vector<double> member_watts;
+        if (c.membersUsed == 1) {
+            // A plain Testbed: a 1-member PassThrough rack replays it
+            // bitwise, and unlike a Rack it accepts a chain that
+            // starts with a locally driven function.
+            TestbedConfig cfg;
+            cfg.chain = chain;
+            cfg.seed = opts.seed;
+            Testbed bed(cfg);
+            const Measurement m = run(bed);
+            c.p99Us = m.p99Us();
+            c.rackWatts = m.energy.avgServerWatts;
+            member_watts.push_back(c.rackWatts);
+        } else {
+            RackConfig cfg;
+            cfg.chain = chain;
+            cfg.servers = c.membersUsed;
+            cfg.policy = net::DispatchPolicy::RoundRobin;
+            cfg.seed = opts.seed;
+            Rack rack(cfg);
+            const RackMeasurement rm = run(rack);
+            c.p99Us = rm.aggregate.p99Us();
+            c.rackWatts = rm.aggregate.energy.avgServerWatts;
+            for (const Measurement &m : rm.perServer)
+                member_watts.push_back(m.energy.avgServerWatts);
+        }
 
         // TCO: ceil(demand / unit throughput) rack units; every unit
         // prices all its members, with a SNIC only on members that
         // host a SNIC-placed stage.
-        const double per_unit = cap.requestGbps * opts.loadFactor;
+        const double per_unit = c.capacityGbps * opts.loadFactor;
         c.unitsForDemand =
             per_unit > 0.0 ? static_cast<unsigned>(std::ceil(
                                  opts.demandGbps / per_unit))
@@ -826,12 +622,8 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
                     with_snic = true;
                 }
             }
-            const double watts =
-                m < rm.perServer.size()
-                    ? rm.perServer[m].energy.avgServerWatts
-                    : 0.0;
-            unit_tco +=
-                computeColumn(1, watts, with_snic).fiveYearTcoUsd;
+            unit_tco += computeColumn(1, member_watts[m], with_snic)
+                            .fiveYearTcoUsd;
         }
         c.tco5yrUsd = static_cast<double>(c.unitsForDemand) * unit_tco;
         c.meetsSlo =
@@ -839,6 +631,8 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
             (slo.minGbps <= 0.0 || per_unit >= slo.minGbps);
     }
 
+    // DES pick: the SLO-meeting evaluated candidate with the lowest
+    // fleet TCO; fall back to the lowest measured p99.
     int best = -1;
     for (std::size_t i = 0; i < advice.candidates.size(); ++i) {
         const RackChainPlacementCandidate &c = advice.candidates[i];
@@ -865,6 +659,8 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
         best >= 0 &&
         advice.candidates[static_cast<std::size_t>(best)].meetsSlo;
 
+    // Placements print as platform@member only when the search may
+    // span members.
     std::ostringstream why;
     auto describe = [&](int i) -> std::string {
         if (i < 0)
@@ -873,8 +669,9 @@ adviseRackChainPlacement(const std::vector<std::string> &function_ids,
         const RackChainPlacementCandidate &c =
             advice.candidates[static_cast<std::size_t>(i)];
         for (std::size_t k = 0; k < c.where.size(); ++k) {
-            s << (k ? "+" : "") << hw::platformName(c.where[k]) << "@"
-              << c.member[k];
+            s << (k ? "+" : "") << hw::platformName(c.where[k]);
+            if (may_span)
+                s << "@" << c.member[k];
         }
         return s.str();
     };

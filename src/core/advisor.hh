@@ -77,7 +77,7 @@ struct PlacementKey
     double combined = 0.0;
 };
 
-/** One candidate placement of a chain. */
+/** One candidate placement of a chain on one server. */
 struct ChainPlacementCandidate
 {
     /** Per-function execution platform (engine kind comes from the
@@ -99,17 +99,20 @@ struct ChainPlacementCandidate
     bool meetsSlo = false;
 };
 
-/** Chain advisor knobs. */
+/** Chain advisor knobs (the rack search adds maxMembers). */
 struct ChainAdvisorOptions
 {
     std::uint64_t seed = 1;
-    /** Operating point as a fraction of measured capacity. */
+    /** Operating point as a fraction of measured capacity, in
+     *  (0, 1]. */
     double loadFactor = 0.7;
-    /** Fleet demand the TCO sizing must serve (request Gbps). */
+    /** Fleet demand the TCO sizing must serve (request Gbps, > 0). */
     double demandGbps = 100.0;
-    /** DES evaluations the advisor may spend (in heuristic-key
-     *  order; the search stops early once an SLO-meeting candidate
-     *  cannot be improved within the budget). */
+    /** Candidates the search may simulate (>= 1). The heuristic pick
+     *  and the all-host and all-SNIC-CPU anchors always run, even
+     *  past the budget (desBudget = 1 can evaluate 3); the rest of
+     *  the budget goes down the key ranking. The search never stops
+     *  early. */
     int desBudget = 8;
     /** Samples per DES measurement window (small: the advisor runs
      *  many candidates). */
@@ -123,8 +126,9 @@ struct ChainAdvice
     /** Every feasible placement, sorted by heuristic key (best
      *  first). */
     std::vector<ChainPlacementCandidate> candidates;
-    /** Index into candidates of the Meili-key baseline's pick
-     *  (always 0 when any candidate is feasible). */
+    /** Index into candidates of the Meili-key baseline's pick: the
+     *  first candidate whose analytic Gbps clears the SLO's minGbps
+     *  (0 when none does). */
     int heuristicPick = -1;
     /** Index into candidates of the DES-backed pick. */
     int desPick = -1;
@@ -134,18 +138,18 @@ struct ChainAdvice
 
 /**
  * Compute the raw (un-normalized) Meili-style key components for
- * placing @p profiles at @p where. Exposed for tests and benches.
+ * placing @p profiles at @p where on one server: rackPlacementKey
+ * with every function on member 0. Exposed for tests and benches.
  */
 PlacementKey placementKey(
     const std::vector<workloads::FunctionProfile> &profiles,
     const std::vector<hw::Platform> &where);
 
 /**
- * Advise on placing the function chain @p function_ids under @p slo:
- * enumerate every Table 3-valid placement vector, rank with the
- * Meili location/bandwidth/resource key (the heuristic baseline),
- * then spend the DES budget simulating candidates to find the
- * placement that actually meets the SLO at the lowest fleet TCO.
+ * Advise on placing the function chain @p function_ids on one server
+ * under @p slo: adviseRackChainPlacement with maxMembers = 1, its
+ * results copied into the per-server types (serverWatts is the one
+ * member's rackWatts).
  */
 ChainAdvice adviseChainPlacement(
     const std::vector<std::string> &function_ids,
@@ -167,7 +171,8 @@ struct RackChainPlacementCandidate
     PlacementKey key;
     double analyticGbps = 0.0;
 
-    // DES-backed evaluation (spanning candidates run on a Rack).
+    // DES-backed evaluation (single-member candidates run on a
+    // Testbed, spanning ones on a Rack).
     bool evaluated = false;
     double capacityGbps = 0.0;   ///< per rack-unit request Gbps
     double capacityRps = 0.0;
@@ -182,22 +187,12 @@ struct RackChainPlacementCandidate
 };
 
 /** Rack chain advisor knobs. */
-struct RackChainAdvisorOptions
+struct RackChainAdvisorOptions : ChainAdvisorOptions
 {
-    std::uint64_t seed = 1;
-    double loadFactor = 0.7;
-    double demandGbps = 100.0;
-    int desBudget = 8;
-    std::uint64_t targetSamples = 4000;
-    /** Rack members the search may spread a chain across. */
+    /** Rack members the search may spread a chain across (>= 1). A
+     *  chain whose first function is not network-driven stays on
+     *  member 0. */
     unsigned maxMembers = 2;
-    /** Key-rank cap on DES eligibility: only the top maxCandidates
-     *  by heuristic key may spend DES budget (pruning — the key is
-     *  cheap, the simulation is not). */
-    int maxCandidates = 32;
-    /** Location-key cost of one cross-member hop, in PCIe-crossing
-     *  equivalents (a ToR round trip dwarfs a PCIe DMA). */
-    double memberHopWeight = 2.0;
 };
 
 /** The rack chain advisor's verdict. */
@@ -212,33 +207,36 @@ struct RackChainAdvice
     bool sloFeasible = false;
     std::string rationale;
     /** Search-telemetry: placements enumerated, and how many were
-     *  DES-eligible after the key-rank cap. */
+     *  DES-eligible after the key-rank cap (the best 32). */
     std::size_t enumerated = 0;
     std::size_t desEligible = 0;
 };
 
 /**
- * Rack-level Meili-style key: like placementKey, but resources are
- * accounted per member (the bandwidth bottleneck is the most loaded
- * resource on any ONE member), cross-member hops charge the
- * destination member's ingress wire, and the location component adds
- * @p member_hop_weight per hop. An all-zero member vector reduces
- * exactly to placementKey (asserted in tests).
+ * Rack-level Meili-style key: resources are accounted per member
+ * (the bandwidth bottleneck is the most loaded resource on any ONE
+ * member), cross-member hops charge the destination member's ingress
+ * wire, and the location component adds two PCIe-crossing
+ * equivalents per hop. An all-zero member vector is placementKey.
  */
 PlacementKey rackPlacementKey(
     const std::vector<workloads::FunctionProfile> &profiles,
     const std::vector<hw::Platform> &where,
-    const std::vector<unsigned> &member,
-    double member_hop_weight = 2.0);
+    const std::vector<unsigned> &member);
 
 /**
- * Advise on placing @p function_ids across up to opts.maxMembers
- * rack members: enumerate platform x member placements (members in
- * restricted-growth form — relabeling-symmetric duplicates are never
- * generated), rank with rackPlacementKey, then spend the DES budget
- * simulating the top candidates on real Racks. The SLO's minGbps is
- * per rack *unit* (one ingress); TCO prices every occupied member,
- * SNIC only on members hosting SNIC-placed stages.
+ * The chain-placement search: place @p function_ids across up to
+ * opts.maxMembers rack members under @p slo. Enumerate every Table
+ * 3-valid platform x member placement (members in restricted-growth
+ * form — relabeling-symmetric duplicates are never generated), rank
+ * with rackPlacementKey (the Meili-style heuristic baseline), then
+ * spend the DES budget on the best 32 by key — single-member
+ * candidates on a Testbed, spanning ones on a Rack — to find the
+ * placement that meets the SLO at the lowest fleet TCO. The SLO's
+ * minGbps is per rack *unit* (one ingress); TCO prices every
+ * occupied member, SNIC only on members hosting SNIC-placed stages.
+ * Fatal on maxMembers == 0, desBudget < 1, loadFactor outside
+ * (0, 1] or demandGbps <= 0.
  */
 RackChainAdvice adviseRackChainPlacement(
     const std::vector<std::string> &function_ids,

@@ -72,7 +72,7 @@ Rack::assemble()
     if (spec.drive != workloads::Drive::Network) {
         sim::fatal("Rack: workload %s is not network-driven — rack "
                    "composition dispatches packets, not local jobs",
-                   config.workloadId.c_str());
+                   spec.id.c_str());
     }
 
     net::TorConfig tor;

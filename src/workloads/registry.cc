@@ -215,6 +215,7 @@ sampleProfile(const std::string &id, std::uint64_t seed, int samples,
     p.supportsSnicCpu = spec.supportsSnicCpu;
     p.supportsAccel = spec.supportsAccel;
     p.accel = spec.accel;
+    p.drive = spec.drive;
 
     double resp_samples = 0.0;
     for (int i = 0; i < samples; ++i) {

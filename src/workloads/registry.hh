@@ -50,6 +50,9 @@ struct FunctionProfile
     /** The engine serving accel placements (meaningful only when
      *  supportsAccel). */
     hw::AccelKind accel = hw::AccelKind::Rem;
+    /** How requests reach the function (a rack spreads only
+     *  network-driven chains across members). */
+    Drive drive = Drive::Network;
     double meanRequestBytes = 0.0;
     double meanResponseBytes = 0.0;
     /** Mean CPU service demand per request (ns) for CPU placements. */

@@ -314,6 +314,19 @@ TEST(RackDeath, LocalDriveWorkloadsCannotFormARack)
                 ::testing::ExitedWithCode(1), "");
 }
 
+TEST(RackDeath, LocalDriveChainIsNamed)
+{
+    // A chain rack has no workloadId; the message names the chain's
+    // first function, the one that cannot take packets.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    RackConfig cfg = rackConfig(2, net::DispatchPolicy::RoundRobin);
+    cfg.workloadId.clear();
+    cfg.chain.then("comp_app_dec", hw::Platform::HostCpu)
+        .then("rem_exe", hw::Platform::HostCpu, 1);
+    EXPECT_EXIT({ Rack rack(cfg); }, ::testing::ExitedWithCode(1),
+                "workload comp_app_dec is not network-driven");
+}
+
 TEST(RackDeath, EndBinWithoutBeginBinIsFatal)
 {
     // A bin closes only a window that beginBin armed: once after

@@ -537,7 +537,7 @@ TEST(RackChain, RackKeyChargesMemberHops)
     const PlacementKey local =
         rackPlacementKey(profiles, where, {0, 0});
     const PlacementKey spanning =
-        rackPlacementKey(profiles, where, {0, 1}, 2.0);
+        rackPlacementKey(profiles, where, {0, 1});
     // One hop at weight 2, no PCIe crossings on either side.
     EXPECT_EQ(local.location, 0.0);
     EXPECT_EQ(spanning.location, 2.0);
@@ -602,4 +602,84 @@ TEST(RackChain, RackAdvisorEvaluatesSpanningCandidateOnRealRack)
     }
     EXPECT_EQ(evaluated, 2u);
     ASSERT_GE(advice.desPick, 0);
+}
+
+TEST(RackChain, RackAdvisorKeepsLocallyDrivenChainOnOneMember)
+{
+    // comp_app_dec generates its own jobs: a Rack cannot dispatch
+    // them, so the search may not spread the chain, and it must still
+    // finish with a pick instead of dying at a spanning candidate.
+    RackChainAdvisorOptions opts;
+    opts.maxMembers = 2;
+    opts.desBudget = 8;
+    opts.targetSamples = 300;
+    const RackChainAdvice advice =
+        adviseRackChainPlacement({"comp_app_dec", "rem_exe"}, {}, opts);
+    ASSERT_FALSE(advice.candidates.empty());
+    for (const RackChainPlacementCandidate &c : advice.candidates) {
+        EXPECT_EQ(c.membersUsed, 1u);
+        EXPECT_EQ(c.member, (std::vector<unsigned>{0, 0}));
+    }
+    EXPECT_GE(advice.desPick, 0);
+    EXPECT_EQ(advice.rationale.find('@'), std::string::npos);
+}
+
+// --- Advisor option validation ---
+
+namespace {
+
+RackChainAdvice
+adviseEcho(const RackChainAdvisorOptions &opts)
+{
+    return adviseRackChainPlacement({kEcho, kEcho}, {}, opts);
+}
+
+} // anonymous namespace
+
+TEST(AdvisorDeath, ZeroMaxMembersIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    RackChainAdvisorOptions opts;
+    opts.maxMembers = 0;
+    EXPECT_EXIT(adviseEcho(opts), ::testing::ExitedWithCode(1),
+                "maxMembers");
+}
+
+TEST(AdvisorDeath, DesBudgetBelowOneIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    RackChainAdvisorOptions opts;
+    opts.desBudget = 0;
+    EXPECT_EXIT(adviseEcho(opts), ::testing::ExitedWithCode(1),
+                "desBudget");
+    // The single-server search is the same search and checks the
+    // same fields.
+    ChainAdvisorOptions flat;
+    flat.desBudget = -1;
+    EXPECT_EXIT(adviseChainPlacement({kEcho}, {}, flat),
+                ::testing::ExitedWithCode(1), "desBudget");
+}
+
+TEST(AdvisorDeath, LoadFactorOutsideUnitIntervalIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const double bad : {0.0, -0.5, 1.5}) {
+        SCOPED_TRACE(bad);
+        RackChainAdvisorOptions opts;
+        opts.loadFactor = bad;
+        EXPECT_EXIT(adviseEcho(opts), ::testing::ExitedWithCode(1),
+                    "loadFactor");
+    }
+}
+
+TEST(AdvisorDeath, NonPositiveDemandIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const double bad : {0.0, -10.0}) {
+        SCOPED_TRACE(bad);
+        RackChainAdvisorOptions opts;
+        opts.demandGbps = bad;
+        EXPECT_EXIT(adviseEcho(opts), ::testing::ExitedWithCode(1),
+                    "demandGbps");
+    }
 }
