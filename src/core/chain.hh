@@ -77,17 +77,6 @@ struct ChainSpec
                 return true;
         return false;
     }
-
-    /** Consecutive-stage pairs that land on different members. */
-    unsigned
-    memberHops() const
-    {
-        unsigned hops = 0;
-        for (std::size_t k = 1; k < stages.size(); ++k)
-            if (stages[k].member != stages[k - 1].member)
-                ++hops;
-        return hops;
-    }
 };
 
 /**

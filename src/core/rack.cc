@@ -92,30 +92,15 @@ Rack::assemble()
     // wire time each. Counting the on-the-wire packets matters: a
     // probe that only sees the pipeline lags dispatch by the link
     // latency, and during that window a least-queue policy herds
-    // consecutive packets onto the same "idle" member.
+    // consecutive packets onto the same "idle" member. A waking
+    // member's remaining boot time is outstanding work too: without
+    // pricing it, the member advertises an empty queue the moment it
+    // rejoins and a queue-aware policy herds traffic into its
+    // admission stall. One pass per dispatch over the probed set,
+    // with now() and the wake table read once.
     const double mean_bytes = spec.sizes.meanBytes();
     const sim::Tick mean_wire_ticks = sim::secToTicks(
         mean_bytes * 8.0 / (hw::specs::lineRateGbps * 1e9));
-    _tor->setLoadProbe([this, mean_wire_ticks](unsigned m) {
-        Testbed &bed = *_members[m];
-        const std::uint64_t held =
-            bed.upLink().inFlight() + bed.pipeline().inFlight();
-        std::uint64_t load =
-            bed.upLink().backlog() + held * mean_wire_ticks;
-        // A waking member's remaining boot time is outstanding work
-        // too: without pricing it, the member advertises an empty
-        // queue the moment it rejoins and a queue-aware policy herds
-        // traffic into its admission stall.
-        const sim::Tick wake_done = _memberWakeDone[m];
-        const sim::Tick t = _sim->now();
-        if (wake_done > t)
-            load += wake_done - t;
-        return load;
-    });
-    // The batched form least_queue uses on its hot path: one pass
-    // over the live set, now() and the wake table read once, no
-    // per-member virtual-call round trip. Must compute the exact
-    // numbers of the scalar probe above (asserted in tests).
     _tor->setBatchLoadProbe([this, mean_wire_ticks](
                                 const unsigned *members, unsigned n,
                                 std::uint64_t *out) {

@@ -575,7 +575,7 @@ Testbed::scheduleLocalJob(double jobs_per_sec, sim::Tick until)
         std::max<sim::Tick>(static_cast<sim::Tick>(gap_sec * 1e12), 1);
     _sim->after(gap, [this, jobs_per_sec, until] {
         scheduleLocalJob(jobs_per_sec, until);
-    });
+    }, "testbed-local-job");
 }
 
 double

@@ -24,14 +24,6 @@ platformName(Platform p)
     sim::panic("platformName: bad platform");
 }
 
-std::string
-placementName(const Placement &p)
-{
-    if (p.kind == Platform::SnicAccel)
-        return std::string("engine:") + accelName(p.engine);
-    return platformName(p.kind);
-}
-
 ServerModel::ServerModel(sim::Simulation &sim, unsigned host_cores,
                          unsigned snic_cores)
     : _sim(sim),

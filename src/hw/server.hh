@@ -9,7 +9,6 @@
 #define SNIC_HW_SERVER_HH
 
 #include <memory>
-#include <string>
 
 #include "hw/accelerator.hh"
 #include "hw/cpu_platform.hh"
@@ -64,17 +63,7 @@ struct RackPlacement
 {
     unsigned member = 0;
     Placement local;
-
-    /** Whether a hop from @p from to @p to leaves the server. */
-    static bool
-    crossesMembers(const RackPlacement &from, const RackPlacement &to)
-    {
-        return from.member != to.member;
-    }
 };
-
-/** Display name ("host", "snic_cpu", "engine:rem", ...). */
-std::string placementName(const Placement &p);
 
 /**
  * The composed server model.
@@ -122,7 +111,6 @@ class ServerModel
      * or schedule work — the fleet drains members before gating.
      */
     void setPowerGated(bool gated);
-    bool powerGated() const { return _gated; }
 
     sim::Simulation &sim() { return _sim; }
 

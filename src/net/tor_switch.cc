@@ -82,6 +82,14 @@ TorSwitch::TorSwitch(const TorConfig &config)
     }
     // Every member starts live: the identity list.
     std::iota(_liveList.begin(), _liveList.end(), 0u);
+    // One pick draws d members (d-choice policies) and probes at most
+    // every member or those d, so both scratch arrays are sized once.
+    if (_config.policy == DispatchPolicy::Random2Choice)
+        _drawScratch.resize(2);
+    else if (_config.policy == DispatchPolicy::RandomDChoice)
+        _drawScratch.resize(_config.probes);
+    _loadScratch.resize(
+        std::max<std::size_t>(_config.members, _drawScratch.size()));
 }
 
 double
@@ -96,10 +104,24 @@ TorSwitch::forwardNs() const
     return _config.forwardNs;
 }
 
-std::uint64_t
-TorSwitch::load(unsigned member)
+unsigned
+TorSwitch::leastLoaded(const unsigned *ids, unsigned n)
 {
-    return _probe ? _probe(member) : 0;
+    if (!_batchProbe) {
+        sim::fatal("TorSwitch: %s picks by load, but no load probe "
+                   "is installed",
+                   dispatchPolicyName(_config.policy));
+    }
+    _batchProbe(ids, n, _loadScratch.data());
+    unsigned best = 0;
+    std::uint64_t least = _loadScratch[0];
+    for (unsigned i = 1; i < n; ++i) {
+        if (_loadScratch[i] < least) {
+            least = _loadScratch[i];
+            best = i;
+        }
+    }
+    return ids ? ids[best] : best;
 }
 
 void
@@ -143,14 +165,6 @@ TorSwitch::pick(const Packet &pkt)
         target = _liveList[static_cast<unsigned>(
             _rng.uniformInt(0, n - 1))];
         break;
-      case DispatchPolicy::Random2Choice: {
-        const unsigned a = _liveList[static_cast<unsigned>(
-            _rng.uniformInt(0, n - 1))];
-        const unsigned b = _liveList[static_cast<unsigned>(
-            _rng.uniformInt(0, n - 1))];
-        target = load(b) < load(a) ? b : a;
-        break;
-      }
       case DispatchPolicy::FlowHash: {
         // Collapse the packet's RSS hash onto flowCount sticky flows,
         // optionally re-pointing a hot fraction at flow 0, then hash
@@ -163,54 +177,22 @@ TorSwitch::pick(const Packet &pkt)
         target = _liveList[static_cast<unsigned>(mix64(flow) % n)];
         break;
       }
-      case DispatchPolicy::LeastQueue: {
-        // Track the argmin's position and map it to a member once.
-        unsigned best_i = 0;
-        if (_batchProbe) {
-            _loadScratch.resize(n);
-            _batchProbe(n == _config.members ? nullptr
-                                             : _liveList.data(),
-                        n, _loadScratch.data());
-            std::uint64_t best = _loadScratch[0];
-            for (unsigned i = 1; i < n; ++i) {
-                if (_loadScratch[i] < best) {
-                    best = _loadScratch[i];
-                    best_i = i;
-                }
-            }
-        } else {
-            std::uint64_t best = load(_liveList[0]);
-            for (unsigned i = 1; i < n; ++i) {
-                const std::uint64_t l = load(_liveList[i]);
-                if (l < best) {
-                    best = l;
-                    best_i = i;
-                }
-            }
-        }
-        target = _liveList[best_i];
+      case DispatchPolicy::LeastQueue:
+        target = leastLoaded(
+            n == _config.members ? nullptr : _liveList.data(), n);
         break;
-      }
-      case DispatchPolicy::RandomDChoice: {
-        // d samples with replacement, keep the first minimum. With
-        // d=2 this draws and compares exactly like Random2Choice
-        // (target=a, challenger=b, strict-less replaces), so the two
-        // policies pick identically from the same RNG state; d=1 is
-        // one draw — Random's dispatch sequence bit for bit.
-        target = _liveList[static_cast<unsigned>(
-            _rng.uniformInt(0, n - 1))];
-        std::uint64_t best = load(target);
-        for (unsigned p = 1; p < _config.probes; ++p) {
-            const unsigned c = _liveList[static_cast<unsigned>(
+      case DispatchPolicy::Random2Choice:
+      case DispatchPolicy::RandomDChoice:
+        // d samples with replacement, then one probe over them; the
+        // first minimum wins. The probe draws nothing from the RNG,
+        // so d=1 replays Random's dispatch sequence bit for bit.
+        for (unsigned &c : _drawScratch) {
+            c = _liveList[static_cast<unsigned>(
                 _rng.uniformInt(0, n - 1))];
-            const std::uint64_t l = load(c);
-            if (l < best) {
-                best = l;
-                target = c;
-            }
         }
+        target = leastLoaded(_drawScratch.data(),
+                             static_cast<unsigned>(_drawScratch.size()));
         break;
-      }
     }
     ++_dispatched[target];
     return target;

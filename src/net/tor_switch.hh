@@ -39,16 +39,18 @@ enum class DispatchPolicy
     PassThrough,
     RoundRobin,     ///< strict rotation, per-packet
     Random,         ///< uniform random member
-    Random2Choice,  ///< two random members, pick the shorter queue
+    /** Two random members, pick the shorter queue: RandomDChoice at
+     *  d = 2, without the probe charge. */
+    Random2Choice,
     /** Hash the packet's flow to a member (ECMP-style). Flows are
      *  sticky, so hot flows pin whole servers — the skew source. */
     FlowHash,
     LeastQueue,     ///< global shortest queue (ties: lowest index)
     /** Bounded-probe JSQ(d): sample TorConfig::probes members with
      *  replacement and keep the least loaded (first minimum wins on
-     *  ties). d=1 degenerates to Random, d=2 picks identically to
-     *  Random2Choice; unlike those, every probe's cost is charged to
-     *  the forwarding latency (probes x probeNs). */
+     *  ties). d=1 picks as Random does, d=2 as Random2Choice; unlike
+     *  those, every probe's cost is charged to the forwarding latency
+     *  (probes x probeNs). */
     RandomDChoice,
 };
 
@@ -92,14 +94,10 @@ struct TorConfig
     double probeNs = 50.0;
 };
 
-/** Queue-depth observer for the load-aware policies: requests
- *  currently inside member @p i's server pipeline. */
-using LoadProbe = sim::InlineFn<std::uint64_t(unsigned member), 24>;
-
-/** Batched form: fill out[i] with the load of members[i] for i in
- *  [0, n) in one pass (members == nullptr means the identity set
- *  0..n-1). LeastQueue prefers this when installed — one call per
- *  dispatch instead of one per member. */
+/** Queue-depth observer for the load-aware policies: fill out[i]
+ *  with the outstanding work of member members[i] for i in [0, n),
+ *  in one pass per dispatch (members == nullptr means the identity
+ *  set 0..n-1). A member may appear more than once. */
 using BatchLoadProbe =
     sim::InlineFn<void(const unsigned *members, unsigned n,
                        std::uint64_t *out), 24>;
@@ -113,14 +111,9 @@ class TorSwitch
   public:
     explicit TorSwitch(const TorConfig &config);
 
-    /** Attach the queue-depth observer (required for Random2Choice,
-     *  RandomDChoice and LeastQueue; ignored by the oblivious
-     *  policies). */
-    void setLoadProbe(LoadProbe probe) { _probe = std::move(probe); }
-
-    /** Attach the batched observer. Must report the same loads as the
-     *  scalar probe; LeastQueue picks are identical either way (the
-     *  argmin keeps the first minimum in both paths). */
+    /** Attach the queue-depth observer. Random2Choice, RandomDChoice
+     *  and LeastQueue read it on every pick, and a pick without one is
+     *  fatal; the oblivious policies ignore it. */
     void
     setBatchLoadProbe(BatchLoadProbe probe)
     {
@@ -199,9 +192,10 @@ class TorSwitch
     std::uint64_t _rrNext = 0;
     std::vector<std::uint64_t> _dispatched;
     std::uint64_t _chainForwards = 0;
-    LoadProbe _probe;
     BatchLoadProbe _batchProbe;
-    /** Scratch for the batched LeastQueue pass (no per-pick alloc). */
+    /** The d members a d-choice pick draws, and the probed loads;
+     *  both sized at construction (no per-pick alloc). */
+    std::vector<unsigned> _drawScratch;
     std::vector<std::uint64_t> _loadScratch;
     /** Eligibility mask (all true by default). */
     std::vector<bool> _live;
@@ -210,7 +204,9 @@ class TorSwitch
      *  never scans the mask. */
     std::vector<unsigned> _liveList;
 
-    std::uint64_t load(unsigned member);
+    /** Probe the @p n members in @p ids (nullptr: members 0..n-1) in
+     *  one batch and return the least loaded, the first on ties. */
+    unsigned leastLoaded(const unsigned *ids, unsigned n);
 };
 
 } // namespace snic::net

@@ -78,9 +78,6 @@ class EnergyIntegral
     /** Tick the current window opened at. */
     sim::Tick windowStart() const { return _windowStart; }
 
-    /** The current (open-segment) draw. */
-    double currentWatts() const { return _watts; }
-
   private:
     double _watts;
     sim::Tick _since;
@@ -123,10 +120,6 @@ struct EnergyReading
     double activeServerWatts(const PowerSpecs &specs) const
     {
         return avgServerWatts - specs.serverIdleWatts;
-    }
-    double activeSnicWatts(const PowerSpecs &specs) const
-    {
-        return avgSnicWatts - specs.snicIdleWatts;
     }
 };
 

@@ -101,13 +101,13 @@ double
 ServerPowerModel::serverWatts() const
 {
     return serverWattsAt(hostUtilNow(), snicCpuUtilNow(),
-                         accelUtilNow(), _nicGbps);
+                         accelUtilNow(), 0.0);
 }
 
 double
 ServerPowerModel::snicWatts() const
 {
-    return snicWattsAt(snicCpuUtilNow(), accelUtilNow(), _nicGbps);
+    return snicWattsAt(snicCpuUtilNow(), accelUtilNow(), 0.0);
 }
 
 double

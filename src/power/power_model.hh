@@ -54,16 +54,14 @@ class ServerPowerModel
     ServerPowerModel(const hw::ServerModel &server,
                      PowerSpecs specs = PowerSpecs());
 
-    /**
-     * Report the NIC-level throughput the datapath currently carries
-     * (the testbed updates this from delivered traffic).
-     */
-    void setNicGbps(double gbps) { _nicGbps = gbps; }
-
-    /** Instantaneous whole-server power (what the BMC sees). */
+    /** Instantaneous whole-server power (what the BMC sees), from the
+     *  platforms' current utilization. It carries no NIC-traffic
+     *  term: windowed readings (EnergyMeter) price NIC traffic from
+     *  delivered bytes. */
     double serverWatts() const;
 
-    /** Instantaneous SNIC power (what the Yocto-Watt rig sees). */
+    /** Instantaneous SNIC power (what the Yocto-Watt rig sees); no
+     *  NIC-traffic term, as for serverWatts(). */
     double snicWatts() const;
 
     /** SNIC power on one PCIe rail. */
@@ -83,7 +81,6 @@ class ServerPowerModel
   private:
     const hw::ServerModel &_server;
     PowerSpecs _specs;
-    double _nicGbps = 0.0;
 
     double hostUtilNow() const;
     double snicCpuUtilNow() const;

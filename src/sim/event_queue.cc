@@ -39,8 +39,6 @@ void
 EventQueue::freeRecord(Record *rec)
 {
     rec->fn.reset();
-    rec->state = State::Free;
-    rec->gen = rec->gen + 1 == 0 ? 1 : rec->gen + 1;
     rec->next = _freeHead;
     _freeHead = rec->self;
     assert(_numPending > 0);
@@ -48,7 +46,7 @@ EventQueue::freeRecord(Record *rec)
 }
 
 void
-EventQueue::linkIntoWheel(std::uint32_t idx, Record *rec)
+EventQueue::linkIntoWheel(Record *rec)
 {
     // The level is set by the most significant bit where the event's
     // tick differs from the wheel position: within that level the
@@ -61,8 +59,6 @@ EventQueue::linkIntoWheel(std::uint32_t idx, Record *rec)
     if (x < l0Slots) {
         const unsigned slot =
             static_cast<unsigned>(rec->when) & l0Mask;
-        rec->level = 0;
-        rec->slot = static_cast<std::uint16_t>(slot);
         b = &_l0Buckets[slot];
         _l0Word[slot >> 6] |= std::uint64_t(1) << (slot & 63);
         _l0Summary |= std::uint64_t(1) << (slot >> 6);
@@ -73,8 +69,6 @@ EventQueue::linkIntoWheel(std::uint32_t idx, Record *rec)
         const unsigned slot =
             static_cast<unsigned>(rec->when >> upperShift(level)) &
             slotMask;
-        rec->level = static_cast<std::uint8_t>(level);
-        rec->slot = static_cast<std::uint16_t>(slot);
         b = &_buckets[level - 1][slot];
         _occupied[level - 1][slot >> 6] |=
             std::uint64_t(1) << (slot & 63);
@@ -82,59 +76,11 @@ EventQueue::linkIntoWheel(std::uint32_t idx, Record *rec)
     }
 
     rec->next = nil;
-    rec->prev = b->tail;
     if (b->tail != nil)
-        recordAt(b->tail)->next = idx;
+        recordAt(b->tail)->next = rec->self;
     else
-        b->head = idx;
-    b->tail = idx;
-}
-
-void
-EventQueue::unlinkFromWheel(Record *rec)
-{
-    Bucket &b = rec->level == 0 ? _l0Buckets[rec->slot]
-                                : _buckets[rec->level - 1][rec->slot];
-    if (rec->prev != nil)
-        recordAt(rec->prev)->next = rec->next;
-    else
-        b.head = rec->next;
-    if (rec->next != nil)
-        recordAt(rec->next)->prev = rec->prev;
-    else
-        b.tail = rec->prev;
-    if (b.head != nil)
-        return;
-    const unsigned w = rec->slot >> 6;
-    if (rec->level == 0) {
-        _l0Word[w] &= ~(std::uint64_t(1) << (rec->slot & 63));
-        if (_l0Word[w] == 0)
-            _l0Summary &= ~(std::uint64_t(1) << w);
-    } else {
-        std::uint64_t &word = _occupied[rec->level - 1][w];
-        word &= ~(std::uint64_t(1) << (rec->slot & 63));
-        if (word == 0)
-            _levelSummary[rec->level - 1] &=
-                ~(std::uint64_t(1) << w);
-    }
-}
-
-bool
-EventQueue::deschedule(EventId id)
-{
-    const auto idx = static_cast<std::uint32_t>(id >> 32);
-    const auto gen = static_cast<std::uint32_t>(id);
-    if (idx >= poolSlots())
-        return false;
-    Record *rec = recordAt(idx);
-    if (rec->gen != gen || rec->state == State::Free)
-        return false;
-    // A Due record has already been pulled out of its bucket; its
-    // batch entry is rejected by the generation snapshot.
-    if (rec->state == State::Scheduled)
-        unlinkFromWheel(rec);
-    freeRecord(rec);
-    return true;
+        b->head = rec->self;
+    b->tail = rec->self;
 }
 
 EventQueue::Peek
@@ -180,8 +126,7 @@ EventQueue::advanceToDue(Tick bound)
             while (walk != nil) {
                 Record *rec = recordAt(walk);
                 assert(rec->when == when);
-                rec->state = State::Due;
-                _due.push_back({rec->seq, walk, rec->gen});
+                _due.push_back({rec->seq, walk});
                 walk = rec->next;
             }
             // Cascades interleave older far-scheduled records with
@@ -249,7 +194,7 @@ EventQueue::advanceToDue(Tick bound)
             while (walk != nil) {
                 Record *rec = recordAt(walk);
                 const std::uint32_t next = rec->next;
-                linkIntoWheel(walk, rec);
+                linkIntoWheel(rec);
                 walk = next;
             }
             cascaded = true;
@@ -257,18 +202,6 @@ EventQueue::advanceToDue(Tick bound)
         }
         if (!cascaded)
             return Peek::Empty;
-    }
-}
-
-void
-EventQueue::pruneDue()
-{
-    while (!_due.empty()) {
-        const DueEntry &e = _due.back();
-        const Record *rec = recordAt(e.idx);
-        if (rec->gen == e.gen && rec->state == State::Due)
-            break;
-        _due.pop_back();
     }
 }
 
@@ -289,7 +222,7 @@ EventQueue::fireDue()
     ++_numFired;
     // Move the closure out and reclaim the slot before invoking, so
     // the callback may freely schedule (possibly reusing this very
-    // slot) or attempt a self-deschedule (stale handle, rejected).
+    // slot).
     EventFn fn = std::move(rec->fn);
     freeRecord(rec);
     fn();
@@ -298,7 +231,6 @@ EventQueue::fireDue()
 bool
 EventQueue::runNext()
 {
-    pruneDue();
     if (_due.empty() && advanceToDue(maxTick) != Peek::Exact)
         return false;
     fireDue();
@@ -310,7 +242,6 @@ EventQueue::runUntil(Tick limit)
 {
     std::uint64_t fired = 0;
     while (true) {
-        pruneDue();
         if (_due.empty()) {
             const Peek p = advanceToDue(limit);
             if (p == Peek::Empty) {

@@ -20,11 +20,10 @@
  *    new/delete per event.
  *  - Closures are stored in the record's InlineFn buffer, so typical
  *    captures (a packet copy plus a `this`) never touch the heap.
- *  - EventId encodes (slot, generation): deschedule is O(1) with no
- *    side map, stale handles to reused slots are rejected by the
- *    generation check, and cancelled records are reclaimed eagerly —
- *    their closure destroyed and slot freed at cancel time, not when
- *    the record would have percolated to the top of a heap.
+ *  - There is no cancellation: every scheduled event fires. A
+ *    component with stale work pending stamps it with its own
+ *    generation and lets the event fire as a no-op, so buckets are
+ *    singly-linked FIFOs and a record is freed only by firing.
  *
  * Determinism: fire order is exactly (when, seq), identical to the
  * binary-heap scheduler this replaced (proven by the randomized A/B
@@ -44,16 +43,6 @@
 #include "sim/types.hh"
 
 namespace snic::sim {
-
-/** Opaque handle identifying a scheduled event: (pool slot,
- *  generation). A handle goes stale — and is rejected by
- *  deschedule() — once its event fires or is cancelled, even if the
- *  slot has been reused. */
-using EventId = std::uint64_t;
-
-/** Handle value that never names a live event (generations start
- *  at 1, so no real handle has a zero low word). */
-constexpr EventId invalidEventId = 0;
 
 /**
  * A time-ordered queue of callback events.
@@ -93,39 +82,30 @@ class EventQueue
      *              (past-tick scheduling, time travel) so fleet-scale
      *              failures name their component. The pointer must
      *              stay valid while the event is pending.
-     * @return a handle usable with deschedule().
      */
     template <typename F>
-    EventId
+    void
     schedule(Tick when, F &&fn, const char *label = nullptr)
     {
         Record *rec = allocRecord(when, label);
         rec->fn.emplace(std::forward<F>(fn));
-        return enqueueRecord(rec);
+        rec->seq = _nextSeq++;
+        linkIntoWheel(rec);
+        ++_numPending;
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
     template <typename F>
-    EventId
+    void
     scheduleIn(Tick delay, F &&fn, const char *label = nullptr)
     {
-        return schedule(_curTick + delay, std::forward<F>(fn), label);
+        schedule(_curTick + delay, std::forward<F>(fn), label);
     }
 
-    /**
-     * Cancel a pending event. The record's closure is destroyed and
-     * its slot reclaimed immediately (eager, O(1)).
-     *
-     * @return true if the event was pending and is now cancelled,
-     *         false if it already fired, was already cancelled, or
-     *         @p id is stale/invalid.
-     */
-    bool deschedule(EventId id);
-
-    /** Number of pending (non-cancelled) events. */
+    /** Number of pending (not yet fired) events. */
     std::size_t numPending() const { return _numPending; }
 
-    /** True when no live events remain. */
+    /** True when no pending events remain. */
     bool empty() const { return _numPending == 0; }
 
     /**
@@ -155,7 +135,8 @@ class EventQueue
 
     /** Pool capacity in records (allocated slabs; bounded by the
      *  peak number of simultaneously pending events, not by the
-     *  schedule/cancel volume — see the reclaim regression test). */
+     *  number ever scheduled — see the slot-reuse regression
+     *  test). */
     std::size_t poolSlots() const
     {
         return _chunks.size() * chunkSize;
@@ -188,32 +169,22 @@ class EventQueue
         return l0Bits + levelBits * (level - 1);
     }
 
-    enum class State : std::uint8_t
-    {
-        Free,       ///< on the free list
-        Scheduled,  ///< linked into a wheel bucket
-        Due,        ///< extracted into the due batch, not yet fired
-    };
-
     /** One scheduled event, pooled. */
     struct Record
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        std::uint32_t gen = 1;
-        State state = State::Free;
-        std::uint8_t level = 0;
-        std::uint16_t slot = 0;
         /** This record's own pool index (set once at slab growth). */
         std::uint32_t self = 0;
-        const char *label = nullptr;
-        /** Intrusive doubly-linked bucket list (pool indices). */
-        std::uint32_t prev = nil;
+        /** Next record in the bucket FIFO or on the free list (pool
+         *  index). */
         std::uint32_t next = nil;
+        const char *label = nullptr;
         EventFn fn;
     };
 
-    /** One wheel bucket: a FIFO of records (append at tail). */
+    /** One wheel bucket: a singly-linked FIFO of records (append at
+     *  tail). */
     struct Bucket
     {
         std::uint32_t head = nil;
@@ -221,14 +192,11 @@ class EventQueue
     };
 
     /** A record extracted from the current level-0 bucket, awaiting
-     *  its turn to fire at _dueTick. The generation snapshot rejects
-     *  entries whose record was cancelled (and maybe reused) by an
-     *  earlier callback of the same tick. */
+     *  its turn to fire at _dueTick. */
     struct DueEntry
     {
         std::uint64_t seq;
         std::uint32_t idx;
-        std::uint32_t gen;
     };
 
     Record *recordAt(std::uint32_t idx)
@@ -253,20 +221,9 @@ class EventQueue
         return rec;
     }
 
-    EventId
-    enqueueRecord(Record *rec)
-    {
-        rec->seq = _nextSeq++;
-        rec->state = State::Scheduled;
-        linkIntoWheel(rec->self, rec);
-        ++_numPending;
-        return (static_cast<EventId>(rec->self) << 32) | rec->gen;
-    }
-
     void growPool();
     void freeRecord(Record *rec);
-    void linkIntoWheel(std::uint32_t idx, Record *rec);
-    void unlinkFromWheel(Record *rec);
+    void linkIntoWheel(Record *rec);
 
     enum class Peek
     {
@@ -276,7 +233,6 @@ class EventQueue
     };
 
     Peek advanceToDue(Tick bound);
-    void pruneDue();
     void fireDue();
     [[noreturn]] void panicPastTick(Tick when, const char *label) const;
 

@@ -36,22 +36,19 @@ class Simulation
      *  (usually the owning component's name) is kept with the event
      *  and printed by the scheduler's fatal paths. */
     template <typename F>
-    EventId
+    void
     at(Tick when, F &&fn, const char *label = nullptr)
     {
-        return _events.schedule(when, std::forward<F>(fn), label);
+        _events.schedule(when, std::forward<F>(fn), label);
     }
 
     /** Schedule @p fn @p delay ticks from now. */
     template <typename F>
-    EventId
+    void
     after(Tick delay, F &&fn, const char *label = nullptr)
     {
-        return _events.scheduleIn(delay, std::forward<F>(fn), label);
+        _events.scheduleIn(delay, std::forward<F>(fn), label);
     }
-
-    /** Cancel a pending event. */
-    bool cancel(EventId id) { return _events.deschedule(id); }
 
     /** Advance simulated time to @p limit, firing due events. */
     std::uint64_t runUntil(Tick limit) { return _events.runUntil(limit); }

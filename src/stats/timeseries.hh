@@ -52,8 +52,6 @@ class TimeSeries
         return static_cast<sim::Tick>(i) * _binWidth;
     }
 
-    sim::Tick binWidth() const { return _binWidth; }
-
     /**
      * Sums interpreted as a rate: sum(i) / bin seconds.
      */

@@ -29,7 +29,7 @@ ovsSpec(double load)
 } // anonymous namespace
 
 Ovs::Ovs(double load_fraction)
-    : Workload(ovsSpec(load_fraction)), _loadFraction(load_fraction)
+    : Workload(ovsSpec(load_fraction))
 {
 }
 

@@ -22,14 +22,9 @@ class Ovs : public Workload
     RequestPlan plan(std::uint32_t request_bytes, hw::Platform platform,
                      sim::Random &rng) override;
 
-    double loadFraction() const { return _loadFraction; }
-
     /** Probability a packet misses the offloaded flow table and is
      *  punted to the control-plane CPU. */
     static constexpr double upcallProbability = 0.002;
-
-  private:
-    double _loadFraction;
 };
 
 } // namespace snic::workloads

@@ -67,26 +67,6 @@ TEST(EventQueue, RunUntilAdvancesClockWhenDrained)
     EXPECT_EQ(q.curTick(), 100u);
 }
 
-TEST(EventQueue, DescheduleCancelsPendingEvent)
-{
-    EventQueue q;
-    int fired = 0;
-    EventId id = q.schedule(10, [&] { ++fired; });
-    q.schedule(20, [&] { ++fired; });
-    EXPECT_TRUE(q.deschedule(id));
-    EXPECT_FALSE(q.deschedule(id));  // double-cancel is a no-op
-    q.runAll();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, DescheduleAfterFireReturnsFalse)
-{
-    EventQueue q;
-    EventId id = q.schedule(10, [] {});
-    q.runAll();
-    EXPECT_FALSE(q.deschedule(id));
-}
-
 TEST(EventQueue, EventsMayScheduleMoreEvents)
 {
     EventQueue q;
@@ -104,13 +84,14 @@ TEST(EventQueue, EventsMayScheduleMoreEvents)
 TEST(EventQueue, NumPendingTracksLiveEvents)
 {
     EventQueue q;
-    EventId a = q.schedule(10, [] {});
+    q.schedule(10, [] {});
     q.schedule(20, [] {});
     EXPECT_EQ(q.numPending(), 2u);
-    q.deschedule(a);
+    q.runNext();
     EXPECT_EQ(q.numPending(), 1u);
     q.runNext();
     EXPECT_EQ(q.numPending(), 0u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ZeroDelayEventFiresAtCurrentTick)
@@ -138,16 +119,6 @@ TEST(Simulation, SchedulingHelpersWork)
     EXPECT_EQ(sim.now(), usToTicks(2.0));
 }
 
-TEST(Simulation, CancelPreventsFiring)
-{
-    Simulation sim;
-    int count = 0;
-    EventId id = sim.after(100, [&] { ++count; });
-    EXPECT_TRUE(sim.cancel(id));
-    sim.runAll();
-    EXPECT_EQ(count, 0);
-}
-
 TEST(Types, TimeConversionsRoundTrip)
 {
     EXPECT_EQ(nsToTicks(1.0), 1000u);
@@ -163,8 +134,8 @@ TEST(Types, TimeConversionsRoundTrip)
 //
 // The EventQueue used to be a lazy-deletion binary heap; the timer
 // wheel that replaced it must be behaviourally indistinguishable:
-// identical fire order (when, then insertion seq), identical runUntil
-// window semantics, identical deschedule results. RefQueue below is a
+// identical fire order (when, then insertion seq) and identical
+// runUntil window semantics. RefQueue below is a
 // file-local reimplementation of the old heap semantics, and the A/B
 // harness drives both queues through the same randomized scripts.
 
@@ -172,53 +143,34 @@ TEST(Types, TimeConversionsRoundTrip)
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 namespace {
 
-/** Reference scheduler: min-heap ordered by (when, seq) with
- *  cancelled-flag lazy deletion — the semantics of the binary-heap
- *  EventQueue the timer wheel replaced. */
+/** Reference scheduler: min-heap ordered by (when, seq) — the
+ *  semantics of the binary-heap EventQueue the timer wheel
+ *  replaced. */
 class RefQueue
 {
   public:
-    EventId
+    void
     schedule(Tick when, std::function<void()> fn)
     {
         auto rec = std::make_unique<Rec>();
-        const EventId id = _nextId++;
         rec->when = when;
         rec->seq = _nextSeq++;
-        rec->id = id;
         rec->fn = std::move(fn);
-        _heap.push_back(rec.get());
+        _heap.push_back(std::move(rec));
         std::push_heap(_heap.begin(), _heap.end(), Later{});
-        _live.emplace(id, std::move(rec));
-        return id;
-    }
-
-    bool
-    deschedule(EventId id)
-    {
-        auto it = _live.find(id);
-        if (it == _live.end())
-            return false;
-        // Lazy deletion: flag it and park ownership until the heap
-        // pops it.
-        it->second->cancelled = true;
-        _graveyard.emplace(id, std::move(it->second));
-        _live.erase(it);
-        return true;
     }
 
     bool
     runNext()
     {
-        Rec *rec = popLive();
+        std::unique_ptr<Rec> rec = pop();
         if (rec == nullptr)
             return false;
-        fire(rec);
+        fire(*rec);
         return true;
     }
 
@@ -226,17 +178,17 @@ class RefQueue
     runUntil(Tick limit)
     {
         std::uint64_t fired = 0;
-        while (Rec *rec = popLive()) {
+        while (std::unique_ptr<Rec> rec = pop()) {
             if (rec->when > limit) {
                 // Old behaviour: pop then push back the not-yet-due
                 // record (the wheel peeks instead; same observable
                 // result).
-                _heap.push_back(rec);
+                _heap.push_back(std::move(rec));
                 std::push_heap(_heap.begin(), _heap.end(), Later{});
                 _curTick = limit;
                 return fired;
             }
-            fire(rec);
+            fire(*rec);
             ++fired;
         }
         _curTick = std::max(_curTick, limit);
@@ -253,68 +205,51 @@ class RefQueue
     }
 
     Tick curTick() const { return _curTick; }
-    std::size_t numPending() const { return _live.size(); }
+    std::size_t numPending() const { return _heap.size(); }
 
   private:
     struct Rec
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        EventId id = 0;
-        bool cancelled = false;
         std::function<void()> fn;
     };
 
     struct Later
     {
         bool
-        operator()(const Rec *a, const Rec *b) const
+        operator()(const std::unique_ptr<Rec> &a,
+                   const std::unique_ptr<Rec> &b) const
         {
             return a->when != b->when ? a->when > b->when
                                       : a->seq > b->seq;
         }
     };
 
-    /** Pop the earliest non-cancelled record, discarding garbage. */
-    Rec *
-    popLive()
+    /** Pop the earliest record (null when empty). */
+    std::unique_ptr<Rec>
+    pop()
     {
-        while (!_heap.empty()) {
-            std::pop_heap(_heap.begin(), _heap.end(), Later{});
-            Rec *rec = _heap.back();
-            _heap.pop_back();
-            if (!rec->cancelled)
-                return rec;
-            delete_cancelled(rec);
-        }
-        return nullptr;
+        if (_heap.empty())
+            return nullptr;
+        std::pop_heap(_heap.begin(), _heap.end(), Later{});
+        std::unique_ptr<Rec> rec = std::move(_heap.back());
+        _heap.pop_back();
+        return rec;
     }
 
+    /** The record is already off the heap, mirroring the wheel's
+     *  free-before-fire, so callbacks may schedule freely. */
     void
-    delete_cancelled(Rec *rec)
+    fire(Rec &rec)
     {
-        _graveyard.erase(rec->id);
-    }
-
-    void
-    fire(Rec *rec)
-    {
-        _curTick = rec->when;
-        std::function<void()> fn = std::move(rec->fn);
-        auto it = _live.find(rec->id);
-        // Move ownership out before invoking, mirroring the wheel's
-        // free-before-fire so callbacks may schedule freely.
-        std::unique_ptr<Rec> owned = std::move(it->second);
-        _live.erase(it);
-        fn();
+        _curTick = rec.when;
+        rec.fn();
     }
 
     Tick _curTick = 0;
     std::uint64_t _nextSeq = 1;
-    EventId _nextId = 1;
-    std::vector<Rec *> _heap;
-    std::unordered_map<EventId, std::unique_ptr<Rec>> _live;
-    std::unordered_map<EventId, std::unique_ptr<Rec>> _graveyard;
+    std::vector<std::unique_ptr<Rec>> _heap;
 };
 
 /** Deterministic 64-bit LCG (same recurrence the bench harness
@@ -338,8 +273,7 @@ TEST(EventQueueWheel, MatchesHeapReferenceOnRandomScripts)
     // Drive the wheel and the heap reference through identical
     // randomized scripts — schedule bursts at mixed horizons
     // (including ~2^40-tick ones that exercise the deep wheel levels
-    // and multi-step cascades), cancels of arbitrary (possibly
-    // already-fired) handles, and runUntil windows — and demand
+    // and multi-step cascades) and runUntil windows — and demand
     // identical fire sequences, clocks, and pending counts.
     for (std::uint64_t seed : {1ull, 7ull, 1234567ull}) {
         Lcg rnd{seed * 0x9e3779b97f4a7c15ull + 1};
@@ -347,23 +281,10 @@ TEST(EventQueueWheel, MatchesHeapReferenceOnRandomScripts)
         RefQueue ref;
         std::vector<std::uint64_t> firedWheel;
         std::vector<std::uint64_t> firedRef;
-        // Parallel handle lists: entry i names the same logical event
-        // in both queues.
-        std::vector<std::pair<EventId, EventId>> handles;
         std::uint64_t tag = 0;
 
         for (int step = 0; step < 3000; ++step) {
             switch (rnd() % 8) {
-            case 6: {  // cancel a random (maybe stale) handle
-                if (handles.empty())
-                    break;
-                const std::size_t i = rnd() % handles.size();
-                const bool w = wheel.deschedule(handles[i].first);
-                const bool r = ref.deschedule(handles[i].second);
-                ASSERT_EQ(w, r) << "deschedule diverged at step "
-                                << step;
-                break;
-            }
             case 7: {  // run a window
                 const Tick limit = wheel.curTick() + rnd() % 300000;
                 const std::uint64_t fw = wheel.runUntil(limit);
@@ -391,14 +312,12 @@ TEST(EventQueueWheel, MatchesHeapReferenceOnRandomScripts)
                     }
                     const Tick when = wheel.curTick() + horizon;
                     const std::uint64_t t = tag++;
-                    handles.emplace_back(
-                        wheel.schedule(when,
-                                       [&firedWheel, t] {
-                                           firedWheel.push_back(t);
-                                       }),
-                        ref.schedule(when, [&firedRef, t] {
-                            firedRef.push_back(t);
-                        }));
+                    wheel.schedule(when, [&firedWheel, t] {
+                        firedWheel.push_back(t);
+                    });
+                    ref.schedule(when, [&firedRef, t] {
+                        firedRef.push_back(t);
+                    });
                 }
                 break;
             }
@@ -438,47 +357,20 @@ TEST(EventQueueWheel, FarHorizonsFireInOrderWithExactClock)
     EXPECT_EQ(fired, expect);
 }
 
-TEST(EventQueueWheel, StaleHandleToReusedSlotIsRejected)
+TEST(EventQueueWheel, FiredSlotsAreReused)
 {
-    // Cancel frees the slot eagerly; the next schedule reuses it. The
-    // old handle must not be able to cancel the new tenant.
+    // A fired record goes back on the free list before its callback
+    // runs, so pool growth tracks peak *pending* events, not the
+    // number ever scheduled: a million schedule/fire pairs with at
+    // most two events pending must stay within the first slab chunk.
     EventQueue q;
-    const EventId stale = q.schedule(10, [] {});
-    EXPECT_TRUE(q.deschedule(stale));
-    int fired = 0;
-    q.schedule(20, [&fired] { ++fired; });
-    EXPECT_FALSE(q.deschedule(stale));
-    EXPECT_EQ(q.numPending(), 1u);
-    q.runAll();
-    EXPECT_EQ(fired, 1);
-
-    // Same for a handle gone stale by firing rather than by cancel.
-    const EventId firedId = q.schedule(30, [] {});
-    q.runAll();
-    q.schedule(40, [&fired] { ++fired; });
-    EXPECT_FALSE(q.deschedule(firedId));
-    q.runAll();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueueWheel, CancelledSlotsAreReclaimedEagerly)
-{
-    // The bug this PR fixes: the heap kept cancelled records (and
-    // their closures) until they percolated to the top, so a
-    // schedule/cancel-heavy run accumulated garbage without bound.
-    // Pool growth must track peak *live* events only: a million
-    // schedule/cancel pairs with at most two live events must stay
-    // within the first slab chunk.
-    EventQueue q;
-    EventId prev = invalidEventId;
+    q.schedule(1, [] {});
     for (int i = 0; i < 1000000; ++i) {
-        const EventId id =
-            q.schedule(q.curTick() + 1 + i % 4096, [] {});
-        if (prev != invalidEventId)
-            q.deschedule(prev);
-        prev = id;
+        q.schedule(q.curTick() + 1 + i % 4096, [] {});
+        q.runNext();
     }
     EXPECT_EQ(q.numPending(), 1u);
+    EXPECT_EQ(q.numFired(), 1000000u);
     EXPECT_LE(q.poolSlots(), 512u);
 }
 

@@ -5,13 +5,15 @@
  * single-member identity invariant (a rack chain placed entirely on
  * member 0 is bitwise the standalone Testbed chain), forced-ingress
  * dispatch, spanning-aware power control, the bounded-probe JSQ(d)
- * policy, the batched least_queue probe, and the rack-level
+ * policy, least_queue over the batched probe, and the rack-level
  * placement key/advisor.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/advisor.hh"
 #include "core/rack.hh"
@@ -390,6 +392,19 @@ packetWithFlow(std::uint64_t id)
     return p;
 }
 
+/** Install the per-member load function @p load as the switch's
+ *  batched probe. */
+template <typename F>
+void
+setMemberLoads(net::TorSwitch &tor, F load)
+{
+    tor.setBatchLoadProbe(
+        [load](const unsigned *members, unsigned n, std::uint64_t *out) {
+            for (unsigned i = 0; i < n; ++i)
+                out[i] = load(members ? members[i] : i);
+        });
+}
+
 } // anonymous namespace
 
 TEST(RackChain, DChoiceWithOneProbeIsRandom)
@@ -400,7 +415,7 @@ TEST(RackChain, DChoiceWithOneProbeIsRandom)
         torConfig(net::DispatchPolicy::Random, 8));
     net::TorSwitch dchoice(
         torConfig(net::DispatchPolicy::RandomDChoice, 8, 1));
-    dchoice.setLoadProbe([](unsigned) { return 0ull; });
+    setMemberLoads(dchoice, [](unsigned) { return 0ull; });
     for (std::uint64_t i = 0; i < 500; ++i) {
         const net::Packet p = packetWithFlow(i);
         EXPECT_EQ(dchoice.pick(p), random.pick(p));
@@ -413,16 +428,28 @@ TEST(RackChain, DChoiceWithTwoProbesMatchesRandom2Choice)
     auto probe = [&loads](unsigned m) { return loads[m]; };
     net::TorSwitch two(
         torConfig(net::DispatchPolicy::Random2Choice, 8));
-    two.setLoadProbe(probe);
+    setMemberLoads(two, probe);
     net::TorSwitch dchoice(
         torConfig(net::DispatchPolicy::RandomDChoice, 8, 2));
-    dchoice.setLoadProbe(probe);
+    setMemberLoads(dchoice, probe);
+    std::vector<unsigned> first;
     for (std::uint64_t i = 0; i < 500; ++i) {
         const net::Packet p = packetWithFlow(i);
-        EXPECT_EQ(dchoice.pick(p), two.pick(p));
+        const unsigned pick = two.pick(p);
+        EXPECT_EQ(dchoice.pick(p), pick);
+        if (i < 16)
+            first.push_back(pick);
         // Rotate loads so ties and reversals both occur.
         std::rotate(loads.begin(), loads.begin() + 1, loads.end());
     }
+    // Both policies run one pick path, so the comparison above cannot
+    // fail alone; these are the picks and per-member counts that
+    // Random2Choice's former two-probe compare made.
+    EXPECT_EQ(first, (std::vector<unsigned>{0, 7, 3, 7, 3, 0, 5, 4, 7,
+                                            0, 5, 4, 1, 6, 7, 0}));
+    EXPECT_EQ(two.dispatched(),
+              (std::vector<std::uint64_t>{68, 52, 52, 76, 59, 68, 57,
+                                          68}));
 }
 
 TEST(RackChain, DChoiceForwardingChargeIncludesProbes)
@@ -449,7 +476,7 @@ TEST(RackChain, DChoiceSpreadsBetterThanRandomUnderSkew)
         torConfig(net::DispatchPolicy::Random, 16));
     net::TorSwitch dchoice(
         torConfig(net::DispatchPolicy::RandomDChoice, 16, 2));
-    dchoice.setLoadProbe([&lb](unsigned m) { return lb[m]; });
+    setMemberLoads(dchoice, [&lb](unsigned m) { return lb[m]; });
     for (std::uint64_t i = 0; i < 20000; ++i) {
         const net::Packet p = packetWithFlow(i);
         ++la[random.pick(p)];
@@ -458,29 +485,38 @@ TEST(RackChain, DChoiceSpreadsBetterThanRandomUnderSkew)
     EXPECT_LT(dchoice.imbalance(), random.imbalance());
 }
 
-// --- Batched least_queue probe ---
-
-TEST(RackChain, BatchedLeastQueueMatchesScalarProbe)
+TEST(RackChainDeath, LoadAwarePickWithoutProbeIsFatal)
 {
-    // The batched probe is a performance path only: with identical
-    // load numbers the argmin (first minimum wins) must pick the
-    // same member as the per-member scalar path — including on ties
-    // and with members removed from the live set.
-    std::vector<std::uint64_t> loads = {7, 3, 3, 9, 1, 1, 8, 2};
-    auto run = [&loads](bool batched, bool filter) {
+    // Without a probe every load would read 0 and every packet would
+    // go to the first live member.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const net::DispatchPolicy policy :
+         {net::DispatchPolicy::LeastQueue,
+          net::DispatchPolicy::Random2Choice,
+          net::DispatchPolicy::RandomDChoice}) {
+        const char *name = net::dispatchPolicyName(policy);
+        SCOPED_TRACE(name);
+        net::TorSwitch tor(torConfig(policy, 4));
+        EXPECT_EXIT(tor.pick(packetWithFlow(1)),
+                    ::testing::ExitedWithCode(1),
+                    std::string(name) + " picks by load, but no load "
+                                        "probe is installed");
+    }
+}
+
+// --- least_queue over the batched probe ---
+
+TEST(RackChain, LeastQueuePicksFirstMinimumOverLiveMembers)
+{
+    // One batched probe over the live members; the first minimum wins
+    // ties. The expected sequences are the picks of the scalar
+    // per-member probe this path replaced.
+    const std::vector<std::uint64_t> start = {7, 3, 3, 9, 1, 1, 8, 2};
+    auto run = [&start](bool filter) {
+        std::vector<std::uint64_t> loads = start;
         net::TorSwitch tor(
             torConfig(net::DispatchPolicy::LeastQueue, 8));
-        if (batched) {
-            tor.setBatchLoadProbe([&loads](const unsigned *members,
-                                           unsigned n,
-                                           std::uint64_t *out) {
-                for (unsigned i = 0; i < n; ++i)
-                    out[i] = loads[members ? members[i] : i];
-            });
-        } else {
-            tor.setLoadProbe(
-                [&loads](unsigned m) { return loads[m]; });
-        }
+        setMemberLoads(tor, [&loads](unsigned m) { return loads[m]; });
         if (filter) {
             tor.setLive(4, false);
             tor.setLive(5, false);
@@ -493,19 +529,19 @@ TEST(RackChain, BatchedLeastQueueMatchesScalarProbe)
         return picks;
     };
 
-    auto base = loads;
-    const auto scalar_full = run(false, false);
-    loads = base;
-    const auto batch_full = run(true, false);
-    EXPECT_EQ(scalar_full, batch_full);
-
-    loads = base;
-    const auto scalar_filtered = run(false, true);
-    loads = base;
-    const auto batch_filtered = run(true, true);
-    EXPECT_EQ(scalar_filtered, batch_filtered);
-    EXPECT_EQ(std::count(scalar_filtered.begin(),
-                         scalar_filtered.end(), 4u), 0);
+    EXPECT_EQ(run(false),
+              (std::vector<unsigned>{
+                  4, 5, 4, 5, 7, 1, 2, 4, 5, 7, 1, 2, 4, 5, 7, 1,
+                  2, 4, 5, 7, 1, 2, 4, 5, 7, 0, 1, 2, 4, 5, 7, 0,
+                  1, 2, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1,
+                  2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1}));
+    // Members 4 and 5 not live: never probed, never picked.
+    EXPECT_EQ(run(true),
+              (std::vector<unsigned>{
+                  7, 1, 2, 7, 1, 2, 7, 1, 2, 7, 1, 2, 7, 0, 1, 2,
+                  7, 0, 1, 2, 6, 7, 0, 1, 2, 3, 6, 7, 0, 1, 2, 3,
+                  6, 7, 0, 1, 2, 3, 6, 7, 0, 1, 2, 3, 6, 7, 0, 1,
+                  2, 3, 6, 7, 0, 1, 2, 3, 6, 7, 0, 1, 2, 3, 6, 7}));
 }
 
 // --- Rack-level placement key and advisor ---
@@ -518,12 +554,16 @@ TEST(RackChain, RackKeyOnOneMemberReducesToPlacementKey)
     };
     const std::vector<hw::Platform> where = {
         hw::Platform::HostCpu, hw::Platform::SnicAccel};
-    const PlacementKey flat = placementKey(profiles, where);
-    const PlacementKey rackwise =
-        rackPlacementKey(profiles, where, {0, 0});
-    EXPECT_EQ(rackwise.location, flat.location);
-    EXPECT_EQ(rackwise.bandwidth, flat.bandwidth);
-    EXPECT_EQ(rackwise.resource, flat.resource);
+    // Host then engine: exactly one PCIe crossing and no member hop.
+    // The bandwidth and resource terms are pinned bitwise, so a change
+    // to either key's arithmetic shows here.
+    for (const PlacementKey &key :
+         {placementKey(profiles, where),
+          rackPlacementKey(profiles, where, {0, 0})}) {
+        EXPECT_EQ(key.location, 1.0);
+        EXPECT_EQ(key.bandwidth, 0x1.74e6786ecd7a7p-19);
+        EXPECT_EQ(key.resource, 0x1.6582b26bf876ap+4);
+    }
 }
 
 TEST(RackChain, RackKeyChargesMemberHops)
@@ -622,6 +662,39 @@ TEST(RackChain, RackAdvisorKeepsLocallyDrivenChainOnOneMember)
     }
     EXPECT_GE(advice.desPick, 0);
     EXPECT_EQ(advice.rationale.find('@'), std::string::npos);
+}
+
+TEST(RackChain, RackAdvisorFallsBackToLowestP99WhenNothingMeetsSlo)
+{
+    // A 1 ns p99 bound no placement can meet: the pick is the
+    // evaluated candidate with the lowest p99, which here is not the
+    // first one evaluated.
+    RackChainAdvisorOptions opts;
+    opts.maxMembers = 2;
+    opts.desBudget = 3;
+    opts.targetSamples = 300;
+    const RackChainAdvice advice = adviseRackChainPlacement(
+        {"rem_img", "rem_img"}, SloConstraint{0.001, 0.0}, opts);
+    EXPECT_FALSE(advice.sloFeasible);
+    int lowest = -1;
+    int first = -1;
+    for (std::size_t i = 0; i < advice.candidates.size(); ++i) {
+        const RackChainPlacementCandidate &c = advice.candidates[i];
+        if (!c.evaluated)
+            continue;
+        EXPECT_FALSE(c.meetsSlo);
+        const int k = static_cast<int>(i);
+        if (first < 0)
+            first = k;
+        if (lowest < 0 || c.p99Us < advice.candidates[lowest].p99Us)
+            lowest = k;
+    }
+    ASSERT_GE(lowest, 0);
+    EXPECT_NE(lowest, first);
+    EXPECT_EQ(advice.desPick, lowest);
+    EXPECT_TRUE(advice.rationale.starts_with(
+        "no evaluated placement meets the SLO; lowest-p99 fallback: "))
+        << advice.rationale;
 }
 
 // --- Advisor option validation ---

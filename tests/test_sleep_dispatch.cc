@@ -32,6 +32,19 @@ torConfig(net::DispatchPolicy policy, unsigned members)
     return c;
 }
 
+/** Install the per-member load function @p load as the switch's
+ *  batched probe. */
+template <typename F>
+void
+setMemberLoads(net::TorSwitch &tor, F load)
+{
+    tor.setBatchLoadProbe(
+        [load](const unsigned *members, unsigned n, std::uint64_t *out) {
+            for (unsigned i = 0; i < n; ++i)
+                out[i] = load(members ? members[i] : i);
+        });
+}
+
 /** 1000 distinct-flow picks through the switch. */
 std::vector<std::uint64_t>
 runPicks(net::TorSwitch &tor)
@@ -79,8 +92,8 @@ TEST(SleepDispatch, LeastQueueWouldHaveHerdedOntoTheSleeper)
     // live mask must exclude it entirely.
     net::TorSwitch tor(
         torConfig(net::DispatchPolicy::LeastQueue, 4));
-    tor.setLoadProbe(
-        [](unsigned m) -> std::uint64_t { return m == 2 ? 0 : 100; });
+    setMemberLoads(
+        tor, [](unsigned m) -> std::uint64_t { return m == 2 ? 0 : 100; });
 
     // Sanity: with everyone live, the herd goes exactly there.
     net::Packet probe_pkt;
@@ -103,7 +116,7 @@ TEST(SleepDispatch, EveryPolicyExcludesTheDeadMember)
         net::TorSwitch tor(torConfig(policy, 4));
         // Rig the probe so the dead member is always the tempting
         // choice for the load-aware policies.
-        tor.setLoadProbe([](unsigned m) -> std::uint64_t {
+        setMemberLoads(tor, [](unsigned m) -> std::uint64_t {
             return m == 1 ? 0 : 50;
         });
         tor.setLive(1, false);
